@@ -1,4 +1,4 @@
-//! Ablations of the design decisions DESIGN.md calls out:
+//! Ablations of the paper's design decisions:
 //!
 //! * **D1** — periodic (IIC/EC) vs exact per-entry invalidation: the
 //!   paper claims the cheap scheme loses almost nothing.

@@ -2,8 +2,9 @@
 //! dense per-cycle loop versus the event-driven cycle-skipping engine, on
 //! the Figure-7-style workload set (plus one eight-core mix).
 //!
-//! Prints a human table and a JSON blob; `BENCH_engine.json` at the repo
-//! root records a run of this bench. Run with:
+//! Prints a human table and a JSON blob. A single-shot probe: the
+//! repository benchmark (`BENCHMARK.json`, `perfbench/`) is where
+//! end-to-end throughput is measured and compared. Run with:
 //!
 //! ```sh
 //! cargo bench -p bench --bench engine
@@ -96,7 +97,7 @@ fn main() {
         total_dense / total_skip
     );
 
-    // Machine-readable record (the BENCH_engine.json format).
+    // Machine-readable record.
     let mut json = String::from(
         "{\n  \"bench\": \"engine\",\n  \"unit\": \"simulated_cpu_cycles_per_wall_second\",\n  \"rows\": [\n",
     );

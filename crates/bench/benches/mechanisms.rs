@@ -12,9 +12,9 @@
 //! 2. **End-to-end** — simulated CPU cycles per wall second on the
 //!    Figure-7 subset under ChargeCache, through the spec path. The
 //!    in-loop dispatch is `Box<dyn LatencyMechanism>` in both worlds, so
-//!    this should match `BENCH_engine.json`'s event-skip rows.
+//!    this should match the `engine` bench's event-skip rows.
 //!
-//! `BENCH_mechanisms.json` at the repo root records a run. Run with:
+//! Prints a human table and a JSON blob. Run with:
 //!
 //! ```sh
 //! cargo bench -p bench --bench mechanisms
@@ -83,7 +83,7 @@ fn main() {
         let cfg = SystemConfig::paper_single_core(MechanismSpec::chargecache());
         // One warm-up run (allocator/page-cache effects), then measure —
         // the same discipline `benches/engine.rs` effectively has, so the
-        // numbers are comparable against BENCH_engine.json.
+        // numbers are comparable against its rows.
         run_configured(cfg.clone(), std::slice::from_ref(&w), &p).expect("valid configuration");
         let t0 = Instant::now();
         let r = run_configured(cfg, std::slice::from_ref(&w), &p).expect("valid configuration");
@@ -93,7 +93,7 @@ fn main() {
         rows.push((name, r.cpu_cycles, cps));
     }
 
-    // Machine-readable record (the BENCH_mechanisms.json format).
+    // Machine-readable record.
     let mut json = String::from("{\n  \"bench\": \"mechanisms\",\n  \"construction_ns\": {\n");
     json.push_str(&format!("    \"direct\": {direct_ns:.1},\n"));
     json.push_str(&format!("    \"registry\": {registry_ns:.1}\n  }},\n"));

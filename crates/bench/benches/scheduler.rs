@@ -9,12 +9,12 @@
 //!   the bank evaluations per pass. The bank-indexed scheduler's per-pass
 //!   cost must stay flat as the queue deepens (the flat-scan design grew
 //!   linearly with occupancy).
-//! * **8-core mix** — the `w1` row of `BENCH_engine.json`, timed exactly
+//! * **8-core mix** — the `w1` row of the `engine` bench, timed exactly
 //!   like the engine bench (same params), isolating what the scheduler
 //!   rewrite buys the paper's multi-programmed configuration.
 //!
-//! Prints a human table and a JSON blob; `BENCH_scheduler.json` at the
-//! repo root records a run. `CC_TINY=1` shrinks both parts for CI smoke.
+//! Prints a human table and a JSON blob. `CC_TINY=1` shrinks both parts
+//! for CI smoke.
 //!
 //! ```sh
 //! cargo bench -p bench --bench scheduler
@@ -108,8 +108,8 @@ struct MixRow {
 }
 
 /// Times the `w1` eight-core mix under both engines, with the same
-/// parameters as the engine bench (so the cps is comparable to the
-/// `BENCH_engine.json` row).
+/// parameters as the engine bench (so the cps is comparable to its `w1`
+/// row).
 fn run_mix() -> MixRow {
     let p = ExpParams::bench();
     let p8 = ExpParams {
@@ -182,7 +182,7 @@ fn main() {
         m.visits as f64 / m.passes as f64
     );
 
-    // Machine-readable record (the BENCH_scheduler.json format).
+    // Machine-readable record.
     let mut json = String::from("{\n  \"bench\": \"scheduler\",\n  \"depth_sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

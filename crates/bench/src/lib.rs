@@ -6,8 +6,9 @@
 //! (laptop) scale — `CC_SCALE=N` scales run lengths by `N`, `CC_TINY=1`
 //! shrinks them to the CI smoke scale — and prints the same rows/series
 //! the paper reports. Absolute numbers differ from the paper (synthetic
-//! workloads, scaled run lengths; see DESIGN.md), but the orderings and
-//! rough factors are the reproduction targets recorded in EXPERIMENTS.md.
+//! workloads, scaled run lengths), but the orderings and rough factors —
+//! printed next to the paper's own numbers by each bench — are the
+//! reproduction targets.
 //!
 //! All sweeps share `sim::api`'s process-wide memoized run cache, so
 //! repeated baselines and alone-IPC runs are simulated once per process

@@ -87,7 +87,7 @@ pub trait LatencyMechanism: Send {
     fn report_stats(&self, out: &mut dyn StatSink);
 
     /// The mechanism's registered name (matches
-    /// [`crate::MechanismSpec::name`] for registry-built instances).
+    /// [`dram::Spec::name`] for registry-built instances).
     fn name(&self) -> &str;
 
     /// Serializes the mechanism's complete mutable state for

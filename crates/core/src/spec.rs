@@ -1,27 +1,16 @@
 //! Open mechanism plugin API: typed specs, factories and the registry.
 //!
 //! A latency mechanism is configured by a [`MechanismSpec`] — a name plus
-//! typed key/value parameters with a string grammar
-//! (`name(key=val,...)`) — and instantiated through a
+//! typed key/value parameters in the shared `name(key=val,...)` spec
+//! grammar (see [`dram::spec`]) — and instantiated through a
 //! [`MechanismRegistry`] of [`MechanismFactory`] objects. The five paper
 //! mechanisms are registered by default; library users register custom
 //! mechanisms with [`registry::register_mechanism`] and can then run them through
 //! `SystemConfig`, `sim::api::Experiment` sweeps and the
 //! `cc-sim --mechanism` flag **without touching `crates/core`**.
 //!
-//! # Spec grammar
-//!
-//! ```text
-//! spec     := name | name "(" params ")"
-//! params   := param ("," param)*
-//! param    := key "=" value
-//! value    := bool | int | float | duration | token
-//! duration := float "ms"            # e.g. 1ms, 2.5ms
-//! ```
-//!
-//! Names, keys and bare tokens match `[A-Za-z_][A-Za-z0-9_.+-]*`;
-//! whitespace around tokens is ignored. [`MechanismSpec`] round-trips:
-//! `spec.to_string().parse()` reproduces the spec exactly.
+//! Mechanism parameter values ([`ParamValue`]) are booleans, integers,
+//! floats, durations (`1ms`, `2.5ms`) or bare tokens.
 //!
 //! # Example
 //!
@@ -73,10 +62,11 @@
 //! ```
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
 use std::sync::{Arc, OnceLock, RwLock};
 
-use dram::TimingParams;
+use dram::{is_token, Spec, SpecValue, TimingParams};
 
 use crate::config::{ChargeCacheConfig, InvalidationPolicy, NuatConfig};
 use crate::mechanism::{Baseline, CcNuat, ChargeCache, LatencyMechanism, LlDram, Nuat};
@@ -118,16 +108,6 @@ impl fmt::Display for ParamValue {
             ParamValue::Str(s) => f.write_str(s),
         }
     }
-}
-
-/// True for tokens matching `[A-Za-z_][A-Za-z0-9_.+-]*`.
-fn is_token(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
 }
 
 impl FromStr for ParamValue {
@@ -175,21 +155,24 @@ impl FromStr for ParamValue {
     }
 }
 
+impl SpecValue for ParamValue {
+    const AXIS: &'static str = "mechanism";
+    const DEBUG_AS: (&'static str, &'static str) = ("MechanismSpec", "name");
+}
+
 // ---------------------------------------------------------------------------
 // MechanismSpec
 // ---------------------------------------------------------------------------
 
-/// A mechanism configuration: a registered name plus typed parameters.
-///
-/// Parameters keep insertion order, so [`fmt::Display`] output is
-/// deterministic; only *explicitly set* parameters are stored — factory
-/// defaults apply at build time. Parse with [`FromStr`]
+/// A mechanism configuration: a registered name plus typed parameters
 /// (`"chargecache(entries=1024,duration=1ms)".parse()`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MechanismSpec {
-    name: String,
-    params: Vec<(String, ParamValue)>,
-}
+///
+/// A thin wrapper over the shared [`Spec`] grammar type (it dereferences
+/// to it for `name`, `params`, `get`, `set` and `ensure_known_keys`) that
+/// adds the mechanism-specific shorthands, the figure-legend label and
+/// typed parameter getters. Factory defaults apply at build time.
+#[derive(Clone, PartialEq)]
+pub struct MechanismSpec(Spec<ParamValue>);
 
 impl MechanismSpec {
     /// A spec with no parameters.
@@ -199,12 +182,7 @@ impl MechanismSpec {
     /// Panics if `name` is not a valid token
     /// (`[A-Za-z_][A-Za-z0-9_.+-]*`).
     pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
-        assert!(is_token(&name), "invalid mechanism name {name:?}");
-        Self {
-            name,
-            params: Vec::new(),
-        }
+        Self(Spec::new(name))
     }
 
     /// Builder-style parameter setter.
@@ -213,38 +191,8 @@ impl MechanismSpec {
     ///
     /// Panics if `key` is not a valid token.
     #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: ParamValue) -> Self {
-        self.set(key, value);
-        self
-    }
-
-    /// Sets (or replaces) one parameter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    pub fn set(&mut self, key: impl Into<String>, value: ParamValue) {
-        let key = key.into();
-        assert!(is_token(&key), "invalid parameter key {key:?}");
-        match self.params.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.params.push((key, value)),
-        }
-    }
-
-    /// The mechanism name (registry lookup key).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The explicitly set parameters, in insertion order.
-    pub fn params(&self) -> &[(String, ParamValue)] {
-        &self.params
-    }
-
-    /// One parameter, if explicitly set.
-    pub fn get(&self, key: &str) -> Option<&ParamValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    pub fn with(self, key: impl Into<String>, value: ParamValue) -> Self {
+        Self(self.0.with(key, value))
     }
 
     /// A positive integer parameter with a default.
@@ -312,29 +260,6 @@ impl MechanismSpec {
         }
     }
 
-    /// Rejects any parameter key outside `allowed` (factories call this so
-    /// typos fail loudly instead of silently using defaults).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first unknown key.
-    pub fn ensure_known_keys(&self, allowed: &[&str]) -> Result<(), String> {
-        for (k, _) in &self.params {
-            if !allowed.contains(&k.as_str()) {
-                return Err(format!(
-                    "unknown parameter {k:?} for mechanism {:?} (known: {})",
-                    self.name,
-                    if allowed.is_empty() {
-                        "none".to_string()
-                    } else {
-                        allowed.join(", ")
-                    }
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Human-readable label (the paper's legend names for built-ins),
     /// resolved through the global registry; falls back to the name for
     /// unregistered mechanisms.
@@ -343,20 +268,29 @@ impl MechanismSpec {
     }
 }
 
+impl Deref for MechanismSpec {
+    type Target = Spec<ParamValue>;
+
+    fn deref(&self) -> &Spec<ParamValue> {
+        &self.0
+    }
+}
+
+impl DerefMut for MechanismSpec {
+    fn deref_mut(&mut self) -> &mut Spec<ParamValue> {
+        &mut self.0
+    }
+}
+
+impl fmt::Debug for MechanismSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
 impl fmt::Display for MechanismSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.name)?;
-        if self.params.is_empty() {
-            return Ok(());
-        }
-        f.write_str("(")?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str(")")
+        self.0.fmt(f)
     }
 }
 
@@ -364,40 +298,7 @@ impl FromStr for MechanismSpec {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let (name, params_src) = match s.find('(') {
-            None => (s, None),
-            Some(open) => {
-                let Some(body) = s[open + 1..].strip_suffix(')') else {
-                    return Err(format!("spec {s:?} is missing its closing ')'"));
-                };
-                (&s[..open], Some(body))
-            }
-        };
-        let name = name.trim();
-        if !is_token(name) {
-            return Err(format!("invalid mechanism name {name:?}"));
-        }
-        let mut spec = MechanismSpec::new(name);
-        if let Some(body) = params_src {
-            let body = body.trim();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    let Some((k, v)) = part.split_once('=') else {
-                        return Err(format!("parameter {part:?} is not key=value"));
-                    };
-                    let k = k.trim();
-                    if !is_token(k) {
-                        return Err(format!("invalid parameter key {k:?}"));
-                    }
-                    if spec.get(k).is_some() {
-                        return Err(format!("duplicate parameter {k:?}"));
-                    }
-                    spec.set(k, v.parse::<ParamValue>()?);
-                }
-            }
-        }
-        Ok(spec)
+        s.parse().map(Self)
     }
 }
 
@@ -455,7 +356,7 @@ pub struct MechanismContext<'a> {
 
 /// Builds and validates one named mechanism family.
 pub trait MechanismFactory: Send + Sync {
-    /// The registered name ([`MechanismSpec::name`] lookup key).
+    /// The registered name ([`Spec::name`] lookup key).
     fn name(&self) -> &str;
 
     /// Accepted alternate names (e.g. `cc` for `chargecache`).
@@ -932,9 +833,18 @@ impl MechanismFactory for LlDramFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dram::{FamilyValue, TimingValue};
 
-    fn ctx(timing: &TimingParams) -> MechanismContext<'_> {
-        MechanismContext { timing, cores: 2 }
+    // -----------------------------------------------------------------
+    // The shared grammar, exercised on all three axes
+    // -----------------------------------------------------------------
+
+    /// Parses `src` as a `Spec<V>` and checks it displays as `canonical`
+    /// and that Display → FromStr is the identity.
+    fn parses_to<V: SpecValue>(src: &str, canonical: &str) {
+        let spec: Spec<V> = src.parse().unwrap_or_else(|e| panic!("{src:?}: {e}"));
+        assert_eq!(spec.to_string(), canonical, "{src:?}");
+        assert_eq!(canonical.parse::<Spec<V>>().unwrap(), spec, "{src:?}");
     }
 
     #[test]
@@ -946,38 +856,201 @@ mod tests {
             "lldram(duration=2.5ms)",
             "custom_x(alpha=0.5,mode=fast,n=-3)",
         ] {
-            let spec: MechanismSpec = src.parse().unwrap();
-            assert_eq!(spec.to_string(), src);
-            let again: MechanismSpec = spec.to_string().parse().unwrap();
-            assert_eq!(again, spec);
+            parses_to::<ParamValue>(src, src);
+        }
+        for src in [
+            "ddr3-1600",
+            "ddr3-1600(trcd=13,tck=1.5)",
+            "ddr3-1866(tck=2.0)",
+        ] {
+            parses_to::<TimingValue>(src, src);
+        }
+        for src in [
+            "ddr3",
+            "ddr4(bank_groups=2)",
+            "hbm2(channels=4,refresh=per-bank)",
+        ] {
+            parses_to::<FamilyValue>(src, src);
         }
     }
 
     #[test]
     fn parse_tolerates_whitespace_and_normalizes() {
-        let spec: MechanismSpec = "  chargecache ( entries = 256 , duration = 4ms )  "
-            .parse()
-            .unwrap();
-        assert_eq!(spec.to_string(), "chargecache(entries=256,duration=4ms)");
-        let bare: MechanismSpec = "nuat()".parse().unwrap();
-        assert_eq!(bare.to_string(), "nuat");
+        let mechanism = [
+            (
+                "  chargecache ( entries = 256 , duration = 4ms )  ",
+                "chargecache(entries=256,duration=4ms)",
+            ),
+            ("nuat()", "nuat"),
+        ];
+        for (src, canonical) in mechanism {
+            parses_to::<ParamValue>(src, canonical);
+        }
+        let timing = [
+            (
+                "  ddr3-1866 ( trcd = 12 , tfaw = 26 )  ",
+                "ddr3-1866(trcd=12,tfaw=26)",
+            ),
+            ("ddr3-1333()", "ddr3-1333"),
+        ];
+        for (src, canonical) in timing {
+            parses_to::<TimingValue>(src, canonical);
+        }
+        let family = [
+            (
+                "  hbm2 ( channels = 4 , refresh = per-bank )  ",
+                "hbm2(channels=4,refresh=per-bank)",
+            ),
+            ("lpddr4x()", "lpddr4x"),
+        ];
+        for (src, canonical) in family {
+            parses_to::<FamilyValue>(src, canonical);
+        }
     }
 
     #[test]
     fn parse_rejects_malformed_specs() {
+        fn rejects<V: SpecValue>(bad: &str) -> String {
+            match bad.parse::<Spec<V>>() {
+                Ok(spec) => panic!("{} spec accepted {bad:?} as {spec}", V::AXIS),
+                Err(e) => e,
+            }
+        }
+        // Grammar-level rejections hold on every axis.
         for bad in [
             "",
-            "cc(",
-            "cc)x",
-            "cc(entries)",
-            "cc(entries=1,entries=2)",
-            "cc(=1)",
-            "1cc",
-            "cc(k=)",
-            "cc(k=1)junk",
+            "x(",
+            "x)y",
+            "(k=1)",
+            "x(k)",
+            "x(k=1,k=2)",
+            "x(=1)",
+            "1x",
+            "x(k=)",
+            "x(k=1)junk",
         ] {
-            assert!(bad.parse::<MechanismSpec>().is_err(), "accepted {bad:?}");
+            rejects::<ParamValue>(bad);
+            rejects::<TimingValue>(bad);
+            rejects::<FamilyValue>(bad);
         }
+        // Messages name the axis.
+        assert!(rejects::<ParamValue>("cc(k=1,k=2)").contains("duplicate mechanism parameter"));
+        assert!(rejects::<TimingValue>("x(k=1,k=2)").contains("duplicate timing parameter"));
+        assert!(rejects::<FamilyValue>("x(k=1,k=2)").contains("duplicate family parameter"));
+        // Each axis's value type rejects what that axis cannot hold.
+        for bad in ["cc(k=1e999)", "cc(k=1e999ms)", "cc(k=1.5.5)", "cc(k=a b)"] {
+            rejects::<ParamValue>(bad);
+        }
+        for bad in [
+            "ddr3-1600(trcd=abc)",
+            "ddr3-1600(tck=1e999)",
+            "ddr3-1600(k=true)",
+        ] {
+            rejects::<TimingValue>(bad);
+        }
+        for bad in [
+            "ddr4(refresh=per bank)",
+            "ddr4(banks=-1)",
+            "ddr4(banks=1.5)",
+        ] {
+            rejects::<FamilyValue>(bad);
+        }
+    }
+
+    /// Dependency-free property test: a seeded xorshift generator
+    /// produces arbitrary valid specs whose values come from `value`
+    /// (`None` skips a draw); Display → FromStr must be the identity on
+    /// every one of them.
+    fn random_specs_roundtrip<V: SpecValue>(
+        seed: u64,
+        value: impl Fn(&mut dyn FnMut() -> u64, String) -> Option<V>,
+    ) {
+        let mut state = seed;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let token = |r: &mut dyn FnMut() -> u64| {
+            const HEAD: &[u8] = b"abcdefghijklmnopqrstuvwxyz_";
+            const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_.+-";
+            let mut s = String::new();
+            s.push(HEAD[(r() % HEAD.len() as u64) as usize] as char);
+            for _ in 0..r() % 8 {
+                s.push(TAIL[(r() % TAIL.len() as u64) as usize] as char);
+            }
+            s
+        };
+        for _ in 0..500 {
+            let mut spec = Spec::<V>::new(token(&mut next));
+            for i in 0..next() % 5 {
+                let word = token(&mut next);
+                let Some(v) = value(&mut next, word) else {
+                    continue;
+                };
+                // Unique keys: suffix with the index.
+                spec.set(format!("{}{i}", token(&mut next)), v);
+            }
+            let text = spec.to_string();
+            let parsed: Spec<V> = text
+                .parse()
+                .unwrap_or_else(|e| panic!("{text:?} failed to parse: {e}"));
+            assert_eq!(parsed, spec, "round-trip changed {text:?}");
+            assert_eq!(parsed.to_string(), text);
+        }
+    }
+
+    #[test]
+    fn seeded_random_specs_roundtrip_through_display() {
+        random_specs_roundtrip(0x1234_5678_9ABC_DEF0, |r, word| {
+            Some(match r() % 5 {
+                0 => ParamValue::Bool(r() % 2 == 0),
+                1 => ParamValue::Int(r() as i64 % 10_000),
+                2 => ParamValue::Float((r() % 1_000_000) as f64 / 128.0),
+                3 => ParamValue::DurationMs((r() % 10_000) as f64 / 16.0),
+                // The two boolean literals are the only tokens that
+                // re-parse as another type; skip them.
+                _ if word == "true" || word == "false" => return None,
+                _ => ParamValue::Str(word),
+            })
+        });
+        random_specs_roundtrip(0xDEAD_BEEF_0BAD_F00D, |r, _| {
+            Some(match r() % 2 {
+                0 => TimingValue::Int((r() % 10_000) as u32),
+                _ => TimingValue::Float((r() % 1_000_000) as f64 / 128.0),
+            })
+        });
+        random_specs_roundtrip(0x0F0F_1234_ABCD_5678, |r, word| {
+            Some(match r() % 2 {
+                0 => FamilyValue::Int(r() as u32),
+                _ => FamilyValue::Token(word),
+            })
+        });
+    }
+
+    #[test]
+    fn debug_text_keeps_each_axis_historical_shape() {
+        // The Debug text is part of every run's content key.
+        let m: MechanismSpec = "cc(entries=2)".parse().unwrap();
+        assert_eq!(
+            format!("{m:?}"),
+            r#"MechanismSpec { name: "cc", params: [("entries", Int(2))] }"#
+        );
+        let t: dram::TimingSpec = "ddr3-1600(tck=1.5)".parse().unwrap();
+        assert_eq!(
+            format!("{t:?}"),
+            r#"TimingSpec { preset: "ddr3-1600", params: [("tck", Float(1.5))] }"#
+        );
+        let f: dram::FamilySpec = "ddr4(refresh=per-bank)".parse().unwrap();
+        assert_eq!(
+            format!("{f:?}"),
+            r#"FamilySpec { family: "ddr4", params: [("refresh", Token("per-bank"))] }"#
+        );
+    }
+
+    fn ctx(timing: &TimingParams) -> MechanismContext<'_> {
+        MechanismContext { timing, cores: 2 }
     }
 
     #[test]
@@ -1095,58 +1168,5 @@ mod tests {
         // Re-registration replaces, not duplicates.
         r.register(Arc::new(Custom));
         assert_eq!(r.factories().len(), 6);
-    }
-
-    #[test]
-    fn seeded_random_specs_roundtrip_through_display() {
-        // Dependency-free property test: a seeded xorshift generator
-        // produces arbitrary valid specs; Display → FromStr must be the
-        // identity on every one of them.
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let token = |r: &mut dyn FnMut() -> u64| {
-            const HEAD: &[u8] = b"abcdefghijklmnopqrstuvwxyz_";
-            const TAIL: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_.+-";
-            let mut s = String::new();
-            s.push(HEAD[(r() % HEAD.len() as u64) as usize] as char);
-            for _ in 0..r() % 8 {
-                s.push(TAIL[(r() % TAIL.len() as u64) as usize] as char);
-            }
-            s
-        };
-        for _ in 0..500 {
-            let mut spec = MechanismSpec::new(token(&mut next));
-            let nparams = next() % 5;
-            for i in 0..nparams {
-                let value = match next() % 5 {
-                    0 => ParamValue::Bool(next() % 2 == 0),
-                    1 => ParamValue::Int(next() as i64 % 10_000),
-                    2 => ParamValue::Float((next() % 1_000_000) as f64 / 128.0),
-                    3 => ParamValue::DurationMs((next() % 10_000) as f64 / 16.0),
-                    _ => {
-                        let t = token(&mut next);
-                        // The two boolean literals are the only tokens
-                        // that re-parse as another type; skip them.
-                        if t.parse::<ParamValue>() != Ok(ParamValue::Str(t.clone())) {
-                            continue;
-                        }
-                        ParamValue::Str(t)
-                    }
-                };
-                // Unique keys: suffix with the index.
-                spec.set(format!("{}{i}", token(&mut next)), value);
-            }
-            let text = spec.to_string();
-            let parsed: MechanismSpec = text
-                .parse()
-                .unwrap_or_else(|e| panic!("{text:?} failed to parse: {e}"));
-            assert_eq!(parsed, spec, "round-trip changed {text:?}");
-            assert_eq!(parsed.to_string(), text);
-        }
     }
 }

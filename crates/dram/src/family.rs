@@ -1,4 +1,4 @@
-//! Declarative DRAM device families and the `FamilySpec` grammar.
+//! Declarative DRAM device families and the `FamilySpec` axis.
 //!
 //! The paper evaluates ChargeCache on exactly one device — DDR3-1600 —
 //! but its claim is device physics, not a DDR3 artifact (Section 7.2).
@@ -10,21 +10,12 @@
 //!
 //! Families are described declaratively — a [`FamilyParams`] record in a
 //! [`FamilyRegistry`], the way probe-rs describes chips as data rather
-//! than code — and selected with a [`FamilySpec`] string using the same
-//! `name(key=val,...)` grammar as `TimingSpec` and the mechanism layer's
-//! `MechanismSpec`:
-//!
-//! ```text
-//! spec     := family | family "(" params ")"
-//! params   := param ("," param)*
-//! param    := key "=" value
-//! value    := int | token              # e.g. banks=16, refresh=per-bank
-//! ```
-//!
-//! [`FamilySpec`] round-trips: `spec.to_string().parse()` reproduces the
-//! spec exactly. Resolution is validated: incoherent group spacing
-//! (`tCCD_L < tCCD_S`) or per-bank refresh on a family without it are
-//! rejected as typed [`FamilyError`]s, not simulated.
+//! than code — and selected with a [`FamilySpec`] in the shared spec
+//! grammar (see [`crate::spec`]), whose values are integers or bare
+//! tokens (`banks=16`, `refresh=per-bank`). Resolution is validated:
+//! incoherent group spacing (`tCCD_L < tCCD_S`) or per-bank refresh on a
+//! family without it are rejected as typed [`FamilyError`]s, not
+//! simulated.
 //!
 //! # Example
 //!
@@ -52,6 +43,7 @@ use std::str::FromStr;
 use std::sync::{OnceLock, RwLock};
 
 use crate::config::Organization;
+use crate::spec::{is_token, Spec, SpecValue};
 use crate::timing::{SpeedBin, TimingParams};
 
 /// Refresh command scope of a device family.
@@ -196,15 +188,9 @@ impl FromStr for FamilyValue {
     }
 }
 
-/// True for tokens matching `[A-Za-z_][A-Za-z0-9_.+-]*` (the shared
-/// spec-grammar token rule).
-fn is_token(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
+impl SpecValue for FamilyValue {
+    const AXIS: &'static str = "family";
+    const DEBUG_AS: (&'static str, &'static str) = ("FamilySpec", "family");
 }
 
 /// Override keys accepted by [`FamilyRegistry::resolve`].
@@ -227,80 +213,17 @@ pub const FAMILY_KEYS: &[&str] = &[
 ];
 
 /// A device-family selection: a registered family name plus typed
-/// overrides, mirroring the `TimingSpec`/`MechanismSpec` grammar.
-///
-/// Overrides keep insertion order, so [`fmt::Display`] output is
-/// deterministic; only *explicitly set* overrides are stored — the
-/// registered family supplies every other field at resolution time.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FamilySpec {
-    family: String,
-    params: Vec<(String, FamilyValue)>,
-}
+/// overrides (`"ddr4(bank_groups=2)".parse()`). The registered family
+/// supplies every field that is not overridden.
+pub type FamilySpec = Spec<FamilyValue>;
 
-impl FamilySpec {
-    /// A spec with no overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `family` is not a valid token
-    /// (`[A-Za-z_][A-Za-z0-9_.+-]*`). Unknown (but well-formed) family
-    /// names are accepted here and rejected at resolution.
-    pub fn new(family: impl Into<String>) -> Self {
-        let family = family.into();
-        assert!(is_token(&family), "invalid family name {family:?}");
-        Self {
-            family,
-            params: Vec::new(),
-        }
-    }
-
-    /// Builder-style override setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: FamilyValue) -> Self {
-        self.set(key, value);
-        self
-    }
-
-    /// Sets (or replaces) one override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    pub fn set(&mut self, key: impl Into<String>, value: FamilyValue) {
-        let key = key.into();
-        assert!(is_token(&key), "invalid family key {key:?}");
-        match self.params.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.params.push((key, value)),
-        }
-    }
-
-    /// The family name (registry lookup key).
-    pub fn family(&self) -> &str {
-        &self.family
-    }
-
-    /// The explicitly set overrides, in insertion order.
-    pub fn params(&self) -> &[(String, FamilyValue)] {
-        &self.params
-    }
-
-    /// One override, if explicitly set.
-    pub fn get(&self, key: &str) -> Option<&FamilyValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
+impl Spec<FamilyValue> {
     /// True when this spec resolves to the same device structure as the
     /// bare default (`ddr3`) — the structural comparison mirrors
     /// `TimingSpec::is_default`, so `ddr3()` and redundant overrides
     /// behave exactly like the default.
     pub fn is_default(&self) -> bool {
-        if self.family == "ddr3" && self.params.is_empty() {
+        if self.name() == "ddr3" && self.params().is_empty() {
             return true;
         }
         match (resolve(self), resolve(&FamilySpec::default())) {
@@ -310,68 +233,10 @@ impl FamilySpec {
     }
 }
 
-impl Default for FamilySpec {
+impl Default for Spec<FamilyValue> {
     /// The paper's device family: bare `ddr3`.
     fn default() -> Self {
         Self::new("ddr3")
-    }
-}
-
-impl fmt::Display for FamilySpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.family)?;
-        if self.params.is_empty() {
-            return Ok(());
-        }
-        f.write_str("(")?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str(")")
-    }
-}
-
-impl FromStr for FamilySpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let (family, params_src) = match s.find('(') {
-            None => (s, None),
-            Some(open) => {
-                let Some(body) = s[open + 1..].strip_suffix(')') else {
-                    return Err(format!("family spec {s:?} is missing its closing ')'"));
-                };
-                (&s[..open], Some(body))
-            }
-        };
-        let family = family.trim();
-        if !is_token(family) {
-            return Err(format!("invalid family name {family:?}"));
-        }
-        let mut spec = FamilySpec::new(family);
-        if let Some(body) = params_src {
-            let body = body.trim();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    let Some((k, v)) = part.split_once('=') else {
-                        return Err(format!("family parameter {part:?} is not key=value"));
-                    };
-                    let k = k.trim();
-                    if !is_token(k) {
-                        return Err(format!("invalid family key {k:?}"));
-                    }
-                    if spec.get(k).is_some() {
-                        return Err(format!("duplicate family parameter {k:?}"));
-                    }
-                    spec.set(k, v.parse::<FamilyValue>()?);
-                }
-            }
-        }
-        Ok(spec)
     }
 }
 
@@ -733,9 +598,9 @@ impl FamilyRegistry {
     /// ill-shaped values, incoherent group spacing, unsupported per-bank
     /// refresh, or inconsistent geometry.
     pub fn resolve(&self, spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
-        let Some(canonical) = self.canonicalize(spec.family()) else {
+        let Some(canonical) = self.canonicalize(spec.name()) else {
             return Err(FamilyError::UnknownFamily {
-                name: spec.family().to_string(),
+                name: spec.name().to_string(),
                 known: self
                     .entries
                     .iter()

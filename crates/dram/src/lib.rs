@@ -69,7 +69,7 @@ pub use family::{
     FAMILY_KEYS,
 };
 pub use rank::Rank;
-pub use spec::{TimingSpec, TimingValue, TIMING_KEYS};
+pub use spec::{is_token, Spec, SpecValue, TimingSpec, TimingValue, TIMING_KEYS};
 pub use stats::DeviceStats;
 pub use timing::{ActTimings, SpeedBin, TimingParams};
 

@@ -1,22 +1,20 @@
-//! Timing presets and the `TimingSpec` string grammar.
+//! The shared `name(key=val,...)` spec grammar, and the timing axis.
 //!
-//! The paper evaluates ChargeCache on exactly one device — DDR3-1600
-//! 11-11-11 (Table 1) — but the mechanism applies to any DDR-derived
-//! interface (Section 7.2), and its payoff shifts as the baseline gets
-//! faster or slower. A [`TimingSpec`] selects the device: a JEDEC
-//! speed-bin preset name plus optional per-parameter overrides, with a
-//! string grammar mirroring the mechanism layer's `MechanismSpec`:
+//! Mechanisms, DRAM timings and device families are each selected by a
+//! [`Spec`]: a name plus ordered, explicitly set `key=value` parameters.
+//! The grammar, its token rule and its round-trip guarantee are
+//! documented once, in `docs/ARCHITECTURE.md` (*Spec grammar*). Each
+//! axis supplies only a value type implementing [`SpecValue`], which
+//! decides what that axis accepts at parse time, plus its own resolution
+//! logic: [`TimingSpec`] (here), [`crate::FamilySpec`] and the mechanism
+//! layer's `MechanismSpec`.
 //!
-//! ```text
-//! spec     := preset | preset "(" params ")"
-//! params   := param ("," param)*
-//! param    := key "=" value
-//! value    := int | float                # cycles, or nanoseconds for tck
-//! ```
-//!
-//! Preset names and keys match `[A-Za-z_][A-Za-z0-9_.+-]*`; whitespace
-//! around tokens is ignored. [`TimingSpec`] round-trips:
-//! `spec.to_string().parse()` reproduces the spec exactly.
+//! A [`TimingSpec`] selects the device clocking: a JEDEC speed-bin
+//! preset name plus optional per-field overrides (cycle counts, or
+//! nanoseconds for `tck`). The paper evaluates exactly one device —
+//! DDR3-1600 11-11-11 (Table 1) — but the mechanism applies to any
+//! DDR-derived interface (Section 7.2), and its payoff shifts as the
+//! baseline gets faster or slower.
 //!
 //! # Example
 //!
@@ -44,6 +42,198 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::timing::{SpeedBin, TimingParams};
+
+// ---------------------------------------------------------------------------
+// The grammar
+// ---------------------------------------------------------------------------
+
+/// True for tokens matching `[A-Za-z_][A-Za-z0-9_.+-]*`: the names, keys
+/// and bare-token values of every spec axis.
+pub fn is_token(s: &str) -> bool {
+    let mut chars = s.chars();
+    match chars.next() {
+        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
+        _ => return false,
+    }
+    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
+}
+
+/// The parameter value type of one spec axis. Its [`FromStr`] decides
+/// what the axis accepts at parse time; its [`fmt::Display`] must
+/// re-parse to the same value.
+pub trait SpecValue: Clone + PartialEq + fmt::Debug + fmt::Display + FromStr<Err = String> {
+    /// The axis noun used in messages (`"mechanism"`, `"timing"`, …).
+    const AXIS: &'static str;
+    /// The type and name-field labels of the spec's `Debug` text. That
+    /// text is part of every run's content key (it names the `.run` and
+    /// `.ckpt` files), so it must not change.
+    const DEBUG_AS: (&'static str, &'static str);
+}
+
+/// A spec: a name plus typed parameters, parsed from and displayed as
+/// `name(key=val,...)`.
+///
+/// Parameters keep insertion order, so [`fmt::Display`] output is
+/// deterministic; only *explicitly set* parameters are stored — each
+/// axis supplies its defaults at resolution time.
+#[derive(Clone, PartialEq)]
+pub struct Spec<V> {
+    name: String,
+    params: Vec<(String, V)>,
+}
+
+impl<V: SpecValue> Spec<V> {
+    /// A spec with no parameters. Unknown (but well-formed) names are
+    /// accepted here and rejected when the axis resolves the spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is not a valid token ([`is_token`]).
+    pub fn new(name: impl Into<String>) -> Self {
+        let name = name.into();
+        assert!(is_token(&name), "invalid {} name {name:?}", V::AXIS);
+        Self {
+            name,
+            params: Vec::new(),
+        }
+    }
+
+    /// Builder-style parameter setter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a valid token.
+    #[must_use]
+    pub fn with(mut self, key: impl Into<String>, value: V) -> Self {
+        self.set(key, value);
+        self
+    }
+
+    /// Sets (or replaces) one parameter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not a valid token.
+    pub fn set(&mut self, key: impl Into<String>, value: V) {
+        let key = key.into();
+        assert!(is_token(&key), "invalid {} key {key:?}", V::AXIS);
+        match self.params.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, v)) => *v = value,
+            None => self.params.push((key, value)),
+        }
+    }
+
+    /// The name (the axis's registry or preset lookup key).
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The explicitly set parameters, in insertion order.
+    pub fn params(&self) -> &[(String, V)] {
+        &self.params
+    }
+
+    /// One parameter, if explicitly set.
+    pub fn get(&self, key: &str) -> Option<&V> {
+        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// Rejects any parameter key outside `allowed`, so typos fail loudly
+    /// instead of silently using defaults.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first unknown key.
+    pub fn ensure_known_keys(&self, allowed: &[&str]) -> Result<(), String> {
+        match self
+            .params
+            .iter()
+            .find(|(k, _)| !allowed.contains(&k.as_str()))
+        {
+            None => Ok(()),
+            Some((k, _)) => Err(format!(
+                "unknown parameter {k:?} for {} {:?} (known: {})",
+                V::AXIS,
+                self.name,
+                if allowed.is_empty() {
+                    "none".to_string()
+                } else {
+                    allowed.join(", ")
+                }
+            )),
+        }
+    }
+}
+
+impl<V: SpecValue> fmt::Debug for Spec<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (ty, name) = V::DEBUG_AS;
+        f.debug_struct(ty)
+            .field(name, &self.name)
+            .field("params", &self.params)
+            .finish()
+    }
+}
+
+impl<V: SpecValue> fmt::Display for Spec<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.name)?;
+        if self.params.is_empty() {
+            return Ok(());
+        }
+        f.write_str("(")?;
+        for (i, (k, v)) in self.params.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            write!(f, "{k}={v}")?;
+        }
+        f.write_str(")")
+    }
+}
+
+impl<V: SpecValue> FromStr for Spec<V> {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let axis = V::AXIS;
+        let s = s.trim();
+        let (name, params_src) = match s.find('(') {
+            None => (s, None),
+            Some(open) => {
+                let Some(body) = s[open + 1..].strip_suffix(')') else {
+                    return Err(format!("{axis} spec {s:?} is missing its closing ')'"));
+                };
+                (&s[..open], Some(body.trim()))
+            }
+        };
+        let name = name.trim();
+        if !is_token(name) {
+            return Err(format!("invalid {axis} name {name:?}"));
+        }
+        let mut spec = Self::new(name);
+        if let Some(body) = params_src.filter(|b| !b.is_empty()) {
+            for part in body.split(',') {
+                let Some((k, v)) = part.split_once('=') else {
+                    return Err(format!("{axis} parameter {part:?} is not key=value"));
+                };
+                let k = k.trim();
+                if !is_token(k) {
+                    return Err(format!("invalid {axis} key {k:?}"));
+                }
+                if spec.get(k).is_some() {
+                    return Err(format!("duplicate {axis} parameter {k:?}"));
+                }
+                spec.set(k, v.parse::<V>()?);
+            }
+        }
+        Ok(spec)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The timing axis
+// ---------------------------------------------------------------------------
 
 /// One override value of a [`TimingSpec`]: a cycle count or (for `tck`)
 /// a nanosecond figure.
@@ -106,27 +296,15 @@ impl FromStr for TimingValue {
     }
 }
 
-/// True for tokens matching `[A-Za-z_][A-Za-z0-9_.+-]*`.
-fn is_token(s: &str) -> bool {
-    let mut chars = s.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || matches!(c, '_' | '.' | '+' | '-'))
+impl SpecValue for TimingValue {
+    const AXIS: &'static str = "timing";
+    const DEBUG_AS: (&'static str, &'static str) = ("TimingSpec", "preset");
 }
 
-/// A DRAM timing selection: a preset name plus typed overrides.
-///
-/// Overrides keep insertion order, so [`fmt::Display`] output is
-/// deterministic; only *explicitly set* overrides are stored — the
-/// preset supplies every other field at resolution time. Parse with
-/// [`FromStr`] (`"ddr3-1866(trcd=12,tfaw=26)".parse()`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimingSpec {
-    preset: String,
-    params: Vec<(String, TimingValue)>,
-}
+/// A DRAM timing selection: a speed-bin preset name plus typed overrides
+/// (`"ddr3-1866(trcd=12,tfaw=26)".parse()`). The preset supplies every
+/// field that is not overridden.
+pub type TimingSpec = Spec<TimingValue>;
 
 /// Override keys accepted by [`TimingSpec::resolve`]: every
 /// [`TimingParams`] cycle field plus `tck` (the clock period in ns).
@@ -135,66 +313,10 @@ pub const TIMING_KEYS: &[&str] = &[
     "trrd", "tfaw", "trfc", "trefi", "trtrs", "tccd_l", "tccd_s", "trrd_l", "trrd_s", "trfcpb",
 ];
 
-impl TimingSpec {
-    /// A spec with no overrides.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `preset` is not a valid token
-    /// (`[A-Za-z_][A-Za-z0-9_.+-]*`). Unknown (but well-formed) preset
-    /// names are accepted here and rejected by [`TimingSpec::resolve`].
-    pub fn new(preset: impl Into<String>) -> Self {
-        let preset = preset.into();
-        assert!(is_token(&preset), "invalid timing preset name {preset:?}");
-        Self {
-            preset,
-            params: Vec::new(),
-        }
-    }
-
+impl Spec<TimingValue> {
     /// A spec for a named speed bin (no overrides).
     pub fn for_bin(bin: SpeedBin) -> Self {
         Self::new(bin.name())
-    }
-
-    /// Builder-style override setter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    #[must_use]
-    pub fn with(mut self, key: impl Into<String>, value: TimingValue) -> Self {
-        self.set(key, value);
-        self
-    }
-
-    /// Sets (or replaces) one override.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is not a valid token.
-    pub fn set(&mut self, key: impl Into<String>, value: TimingValue) {
-        let key = key.into();
-        assert!(is_token(&key), "invalid timing key {key:?}");
-        match self.params.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => *v = value,
-            None => self.params.push((key, value)),
-        }
-    }
-
-    /// The preset name (speed-bin lookup key).
-    pub fn preset(&self) -> &str {
-        &self.preset
-    }
-
-    /// The explicitly set overrides, in insertion order.
-    pub fn params(&self) -> &[(String, TimingValue)] {
-        &self.params
-    }
-
-    /// One override, if explicitly set.
-    pub fn get(&self, key: &str) -> Option<TimingValue> {
-        self.params.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
     }
 
     /// True when this spec resolves to the same parameter set as the
@@ -206,7 +328,7 @@ impl TimingSpec {
     /// behaves exactly like the bare default, while any spec that fails
     /// to resolve is by definition not the default.
     pub fn is_default(&self) -> bool {
-        if self.preset == SpeedBin::Ddr3_1600.name() && self.params.is_empty() {
+        if self.name == SpeedBin::Ddr3_1600.name() && self.params.is_empty() {
             return true;
         }
         self.resolve().is_ok_and(|t| t == TimingParams::ddr3_1600())
@@ -223,11 +345,11 @@ impl TimingSpec {
     /// non-integer value, or the resulting parameter set is incoherent
     /// (e.g. `tras` exceeding `trc`, a zero `tck`).
     pub fn resolve(&self) -> Result<TimingParams, String> {
-        let Some(bin) = SpeedBin::from_name(&self.preset) else {
+        let Some(bin) = SpeedBin::from_name(&self.name) else {
             let known: Vec<&str> = SpeedBin::ALL.iter().map(|b| b.name()).collect();
             return Err(format!(
                 "unknown timing preset {:?} (known: {})",
-                self.preset,
+                self.name,
                 known.join(", ")
             ));
         };
@@ -236,7 +358,7 @@ impl TimingSpec {
         // from `tccd`, `trrd_l`/`trrd_s` from `trrd`, `trfcpb` from
         // `trfc`) unless explicitly overridden, so a plain `tccd=6`
         // override keeps its historical meaning of "all column spacing".
-        let explicit = |k: &str| self.params.iter().any(|(key, _)| key == k);
+        let explicit = |k: &str| self.get(k).is_some();
         for (key, value) in &self.params {
             let cycles = |v: TimingValue| -> Result<u32, String> {
                 match v {
@@ -319,68 +441,10 @@ impl TimingSpec {
     }
 }
 
-impl Default for TimingSpec {
+impl Default for Spec<TimingValue> {
     /// The paper's Table 1 device: bare `ddr3-1600`.
     fn default() -> Self {
         Self::for_bin(SpeedBin::Ddr3_1600)
-    }
-}
-
-impl fmt::Display for TimingSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.preset)?;
-        if self.params.is_empty() {
-            return Ok(());
-        }
-        f.write_str("(")?;
-        for (i, (k, v)) in self.params.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{k}={v}")?;
-        }
-        f.write_str(")")
-    }
-}
-
-impl FromStr for TimingSpec {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        let s = s.trim();
-        let (preset, params_src) = match s.find('(') {
-            None => (s, None),
-            Some(open) => {
-                let Some(body) = s[open + 1..].strip_suffix(')') else {
-                    return Err(format!("timing spec {s:?} is missing its closing ')'"));
-                };
-                (&s[..open], Some(body))
-            }
-        };
-        let preset = preset.trim();
-        if !is_token(preset) {
-            return Err(format!("invalid timing preset name {preset:?}"));
-        }
-        let mut spec = TimingSpec::new(preset);
-        if let Some(body) = params_src {
-            let body = body.trim();
-            if !body.is_empty() {
-                for part in body.split(',') {
-                    let Some((k, v)) = part.split_once('=') else {
-                        return Err(format!("timing parameter {part:?} is not key=value"));
-                    };
-                    let k = k.trim();
-                    if !is_token(k) {
-                        return Err(format!("invalid timing key {k:?}"));
-                    }
-                    if spec.get(k).is_some() {
-                        return Err(format!("duplicate timing parameter {k:?}"));
-                    }
-                    spec.set(k, v.parse::<TimingValue>()?);
-                }
-            }
-        }
-        Ok(spec)
     }
 }
 
@@ -429,33 +493,6 @@ mod tests {
             let err = src.parse::<TimingSpec>().unwrap().resolve().unwrap_err();
             assert!(err.contains(needle), "{src}: {err}");
         }
-    }
-
-    #[test]
-    fn parse_rejects_malformed_specs() {
-        for bad in [
-            "",
-            "ddr3-1600(",
-            "ddr3-1600)x",
-            "ddr3-1600(trcd)",
-            "ddr3-1600(trcd=13,trcd=14)",
-            "ddr3-1600(=1)",
-            "3ddr",
-            "ddr3-1600(k=)",
-            "ddr3-1600(k=1)junk",
-            "ddr3-1600(trcd=abc)",
-        ] {
-            assert!(bad.parse::<TimingSpec>().is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn parse_tolerates_whitespace_and_normalizes() {
-        let spec: TimingSpec = "  ddr3-1866 ( trcd = 12 , tfaw = 26 )  ".parse().unwrap();
-        assert_eq!(spec.to_string(), "ddr3-1866(trcd=12,tfaw=26)");
-        let bare: TimingSpec = "ddr3-1333()".parse().unwrap();
-        assert_eq!(bare.to_string(), "ddr3-1333");
-        assert!(!bare.is_default());
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! IDD-based DDR3 energy model — the reproduction's DRAMPower substitute
-//! (DESIGN.md substitution S3).
+//! IDD-based DDR3 energy model — the reproduction's substitute for the
+//! DRAMPower tool the paper uses.
 //!
 //! Follows the standard Micron power-calculation methodology: per-command
 //! charge packets for activate/precharge pairs, read/write bursts and

@@ -12,7 +12,9 @@
 //!
 //! # Entry format
 //!
-//! One file per result, named `{key:032x}.run`:
+//! One file per result, named `{key:032x}.run`. Checkpoints
+//! ([`crate::ckpt`]) share the same envelope under their own magic,
+//! version and extension.
 //!
 //! ```text
 //! magic    [u8; 8]   b"CCRUN\0v2"
@@ -54,95 +56,14 @@
 //! All counters are in [`CacheStats`], surfaced by `cc-sim` on stderr.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::SystemTime;
 
-use fasthash::{checksum_64, content_hash_128};
+use fasthash::content_hash_128;
 
-/// Deterministic I/O fault injection for the persistence layer (this
-/// cache and the checkpoint store in [`crate::ckpt`]).
-///
-/// Reuses the `CC_FAULT_INJECTION` master switch that already gates the
-/// test-only `faulty` mechanism plugin. Beyond acting as that boolean
-/// gate, the variable now accepts comma-separated tokens:
-///
-/// * `io-write=N` — the N-th persisted-entry *write* attempt since
-///   process start fails with an injected I/O error,
-/// * `io-rename=N` — the N-th atomic *rename* into place fails,
-/// * `io-read=N` — the N-th entry *read* fails,
-/// * `ckpt-exit=N` — the process exits (code 86) right after the N-th
-///   checkpoint lands on disk, simulating a crash at a checkpoint
-///   boundary for the kill-anywhere resume tests.
-///
-/// Counts are 1-based and process-wide; operations are only counted
-/// while their token is present, so an unrelated `CC_FAULT_INJECTION=1`
-/// leaves the shim inert. All failures exercise the same degrade paths
-/// real I/O errors would: store failures bump counters and the sweep
-/// continues, read failures are clean misses.
-pub(crate) mod fault {
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
-    static WRITES: AtomicU64 = AtomicU64::new(0);
-    static RENAMES: AtomicU64 = AtomicU64::new(0);
-    static READS: AtomicU64 = AtomicU64::new(0);
-    static CKPT_EXITS: AtomicU64 = AtomicU64::new(0);
-
-    /// The 1-based trip point for `kind`, if armed.
-    fn target(kind: &str) -> Option<u64> {
-        let spec = std::env::var("CC_FAULT_INJECTION").ok()?;
-        for token in spec.split(',') {
-            if let Some((k, v)) = token.trim().split_once('=') {
-                if k == kind {
-                    return v.parse().ok();
-                }
-            }
-        }
-        None
-    }
-
-    /// Counts one `kind` operation; true when this one must fail.
-    fn trips(counter: &AtomicU64, kind: &str) -> bool {
-        match target(kind) {
-            Some(n) => counter.fetch_add(1, Relaxed) + 1 == n,
-            None => false,
-        }
-    }
-
-    fn check(counter: &AtomicU64, kind: &str) -> std::io::Result<()> {
-        if trips(counter, kind) {
-            Err(std::io::Error::other(format!("injected {kind} fault")))
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Gate before writing an entry's bytes.
-    pub(crate) fn before_write() -> std::io::Result<()> {
-        check(&WRITES, "io-write")
-    }
-
-    /// Gate before renaming a temp file into place.
-    pub(crate) fn before_rename() -> std::io::Result<()> {
-        check(&RENAMES, "io-rename")
-    }
-
-    /// Gate before reading an entry back.
-    pub(crate) fn before_read() -> std::io::Result<()> {
-        check(&READS, "io-read")
-    }
-
-    /// Called after each checkpoint store lands; exits the process when
-    /// the `ckpt-exit` trip point is reached (kill-anywhere testing).
-    pub(crate) fn after_checkpoint_stored() {
-        if trips(&CKPT_EXITS, "ckpt-exit") {
-            eprintln!("cc-sim: injected crash after checkpoint (CC_FAULT_INJECTION ckpt-exit)");
-            std::process::exit(86);
-        }
-    }
-}
+use crate::envelope::{quarantine, Envelope, Loaded};
 
 /// Version of the on-disk entry layout (header field). Bump whenever the
 /// header, footer, or [`RunResult::encode`](crate::RunResult::encode)
@@ -152,23 +73,14 @@ pub(crate) mod fault {
 /// quarantined — and are re-simulated instead of misdecoded.
 pub const ENTRY_VERSION: u32 = 2;
 
-/// Entry file magic. The version byte rides along so a hex dump of a
-/// cache directory is self-describing.
-const MAGIC: [u8; 8] = *b"CCRUN\0v2";
-
-/// The version-independent magic prefix shared by every entry format.
-/// A file carrying it is *some* version of an entry, so a version
-/// mismatch is a clean miss rather than quarantine-worthy corruption.
-const MAGIC_PREFIX: [u8; 7] = *b"CCRUN\0v";
-
-/// Suffix appended to quarantined entry files.
-const QUARANTINE_SUFFIX: &str = ".corrupt";
-
-/// Header length: magic + version + key + payload length.
-const HEADER_LEN: usize = 8 + 4 + 16 + 8;
-
-/// Footer length: repeated payload length + checksum.
-const FOOTER_LEN: usize = 8 + 8;
+/// The `.run` entry envelope. The magic's version byte rides along so a
+/// hex dump of a cache directory is self-describing.
+const RUN: Envelope = Envelope {
+    magic: *b"CCRUN\0v2",
+    version: ENTRY_VERSION,
+    ext: "run",
+    tmp_ext: "tmp",
+};
 
 /// Derives the stable content key for a job identity string (the same
 /// exhaustive `Debug`-format key the in-memory memoizer uses; see
@@ -213,8 +125,6 @@ pub struct DiskCache {
     stores: AtomicU64,
     store_failures: AtomicU64,
     quarantined: AtomicU64,
-    /// Distinguishes concurrent writers' temp files within the process.
-    temp_seq: AtomicU64,
 }
 
 impl DiskCache {
@@ -232,7 +142,6 @@ impl DiskCache {
             stores: AtomicU64::new(0),
             store_failures: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
-            temp_seq: AtomicU64::new(0),
         }
     }
 
@@ -269,7 +178,7 @@ impl DiskCache {
 
     /// Entry file path for `key`.
     pub fn path_for(&self, key: u128) -> PathBuf {
-        self.dir.join(format!("{key:032x}.run"))
+        RUN.path(&self.dir, key)
     }
 
     /// Loads and verifies the payload stored under `key`. A missing file
@@ -282,32 +191,24 @@ impl DiskCache {
         if self.is_degraded() {
             return None;
         }
-        let path = self.path_for(key);
-        let bytes = match fault::before_read().and_then(|()| fs::read(&path)) {
-            Ok(b) => b,
-            Err(_) => {
-                self.misses.fetch_add(1, Relaxed);
-                return None;
-            }
-        };
-        match verify(&bytes, key) {
-            Verified::Ok(payload) => {
+        match RUN.load(&self.dir, key) {
+            Loaded::Hit(payload) => {
                 self.hits.fetch_add(1, Relaxed);
                 // Touch the entry so [`DiskCache::gc`]'s LRU order sees
                 // it as recently used, not just recently stored.
                 // Best-effort: a failed touch only skews eviction order.
                 let _ = fs::File::options()
                     .append(true)
-                    .open(&path)
+                    .open(self.path_for(key))
                     .and_then(|f| f.set_modified(SystemTime::now()));
-                Some(payload.to_vec())
+                Some(payload)
             }
-            Verified::VersionMiss => {
+            Loaded::Quarantined => {
+                self.quarantined.fetch_add(1, Relaxed);
                 self.misses.fetch_add(1, Relaxed);
                 None
             }
-            Verified::Corrupt => {
-                self.quarantine(&path);
+            Loaded::Miss => {
                 self.misses.fetch_add(1, Relaxed);
                 None
             }
@@ -323,31 +224,10 @@ impl DiskCache {
         if self.is_degraded() {
             return;
         }
-        let final_path = self.path_for(key);
-        let tmp = self.dir.join(format!(
-            ".{key:032x}.{}.{}.tmp",
-            std::process::id(),
-            self.temp_seq.fetch_add(1, Relaxed)
-        ));
-        let entry = encode_entry(key, payload);
-        let ok = (|| -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            fault::before_write()?;
-            f.write_all(&entry)?;
-            f.sync_data()?;
-            drop(f);
-            fault::before_rename()?;
-            fs::rename(&tmp, &final_path)
-        })();
-        match ok {
-            Ok(()) => {
-                self.stores.fetch_add(1, Relaxed);
-            }
-            Err(_) => {
-                let _ = fs::remove_file(&tmp);
-                self.store_failures.fetch_add(1, Relaxed);
-            }
-        }
+        match RUN.store(&self.dir, key, payload) {
+            Ok(()) => self.stores.fetch_add(1, Relaxed),
+            Err(_) => self.store_failures.fetch_add(1, Relaxed),
+        };
     }
 
     /// Quarantines the entry stored under `key`. For callers whose own
@@ -358,7 +238,8 @@ impl DiskCache {
         if self.is_degraded() {
             return;
         }
-        self.quarantine(&self.path_for(key));
+        quarantine(&self.path_for(key));
+        self.quarantined.fetch_add(1, Relaxed);
     }
 
     /// Snapshot of the counters.
@@ -441,19 +322,6 @@ impl DiskCache {
         }
         stats
     }
-
-    /// Moves an unverifiable entry aside (`<name>.corrupt`) so it is
-    /// never trusted again but remains inspectable. If even the rename
-    /// fails, fall back to removing it; a file we can neither move nor
-    /// delete simply keeps failing verification on future loads.
-    fn quarantine(&self, path: &Path) {
-        let mut q = path.as_os_str().to_os_string();
-        q.push(QUARANTINE_SUFFIX);
-        if fs::rename(path, &q).is_err() {
-            let _ = fs::remove_file(path);
-        }
-        self.quarantined.fetch_add(1, Relaxed);
-    }
 }
 
 /// Counter snapshot of one [`DiskCache::gc`] pass.
@@ -507,76 +375,10 @@ fn probe_writable(dir: &Path) -> Result<(), String> {
     }
 }
 
-/// Serializes a full entry (header + payload + footer).
-fn encode_entry(key: u128, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&ENTRY_VERSION.to_le_bytes());
-    out.extend_from_slice(&key.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&checksum_64(payload).to_le_bytes());
-    out
-}
-
-/// Outcome of verifying an entry read from disk.
-enum Verified<'a> {
-    /// A well-formed current-version entry; the payload slice.
-    Ok(&'a [u8]),
-    /// A well-formed `CCRUN` header from a *different* format version:
-    /// not corruption, just not this format. Treated as a clean miss.
-    VersionMiss,
-    /// Anything else — short file, foreign magic, key mismatch, length
-    /// disagreement, checksum failure. Quarantine-worthy.
-    Corrupt,
-}
-
-/// Verifies an entry read from disk. A file that merely belongs to
-/// another entry-format version (recognizable `CCRUN` magic prefix, but
-/// a different version in the magic byte or header field) is
-/// [`Verified::VersionMiss`]; every other failure mode — short file,
-/// foreign magic, key mismatch (a file renamed or copied to the wrong
-/// name), length disagreement between header and footer, checksum
-/// mismatch — is [`Verified::Corrupt`].
-fn verify(bytes: &[u8], key: u128) -> Verified<'_> {
-    // A short file that still starts with the magic prefix is a torn or
-    // truncated write, not another version — but if even the prefix is
-    // absent we cannot tell, and Corrupt covers both.
-    if bytes.len() < HEADER_LEN + FOOTER_LEN {
-        return Verified::Corrupt;
-    }
-    let (header, rest) = bytes.split_at(HEADER_LEN);
-    if header[..7] != MAGIC_PREFIX {
-        return Verified::Corrupt;
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().unwrap());
-    if header[7] != MAGIC[7] || version != ENTRY_VERSION {
-        return Verified::VersionMiss;
-    }
-    let stored_key = u128::from_le_bytes(header[12..28].try_into().unwrap());
-    if stored_key != key {
-        return Verified::Corrupt;
-    }
-    let len = u64::from_le_bytes(header[28..36].try_into().unwrap()) as usize;
-    if rest.len() != len + FOOTER_LEN {
-        return Verified::Corrupt;
-    }
-    let (payload, footer) = rest.split_at(len);
-    let footer_len = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
-    if footer_len != len {
-        return Verified::Corrupt;
-    }
-    let footer_sum = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-    if footer_sum != checksum_64(payload) {
-        return Verified::Corrupt;
-    }
-    Verified::Ok(payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::envelope::HEADER_LEN;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("cc-cache-test-{tag}-{}", std::process::id()));
@@ -616,12 +418,12 @@ mod tests {
         assert!(path.with_extension("run.corrupt").exists());
 
         // Truncation.
-        let good = encode_entry(key, b"good payload");
+        let good = RUN.encode(key, b"good payload");
         fs::write(&path, &good[..good.len() - 3]).unwrap();
         assert_eq!(c.load(key), None);
 
         // Key mismatch (entry copied to the wrong filename).
-        let other = encode_entry(content_key("other job"), b"good payload");
+        let other = RUN.encode(content_key("other job"), b"good payload");
         fs::write(&path, &other).unwrap();
         assert_eq!(c.load(key), None);
 
@@ -638,7 +440,7 @@ mod tests {
 
         // A well-formed entry from a previous format: version field
         // (and magic version byte) differ, everything else intact.
-        let mut old = encode_entry(key, b"stale layout");
+        let mut old = RUN.encode(key, b"stale layout");
         old[7] = b'1';
         old[8..12].copy_from_slice(&1u32.to_le_bytes());
         fs::write(&path, &old).unwrap();

@@ -14,12 +14,11 @@
 //! # Entry format
 //!
 //! One file per in-progress cell, named `{content_key:032x}.ckpt` in the
-//! run-cache directory — a sibling of the `.run` entries with the same
-//! envelope discipline ([`crate::cache`]): magic + version + content-key
-//! echo header, payload, repeated-length + FNV-1a-64 checksum footer,
-//! atomic temp-file + rename stores, quarantine-on-corrupt
-//! (`<name>.ckpt.corrupt`), and version mismatches treated as clean
-//! misses. The run cache's `gc` only matches `.run` names, so
+//! run-cache directory — a sibling of the `.run` entries in the same
+//! envelope ([`crate::cache`], magic `CCCKP\0v1`, version
+//! [`CKPT_VERSION`]): atomic temp-file + rename stores,
+//! quarantine-on-corrupt (`<name>.ckpt.corrupt`), and version mismatches
+//! treated as clean misses. The run cache's `gc` only matches `.run` names, so
 //! checkpoints are never evicted by it; they are deleted by
 //! [`CheckpointStore::remove`] the moment their cell completes.
 //!
@@ -42,15 +41,13 @@
 //! save/load hooks silently run without checkpointing.
 
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-use fasthash::checksum_64;
 use traces::WorkloadSpec;
 
-use crate::cache::fault;
 use crate::config::{InvalidConfig, SystemConfig};
+use crate::envelope::{fault, quarantine, Envelope, Loaded};
 use crate::exp::{build_system, ExpParams};
 use crate::metrics::RunResult;
 use crate::system::{Snapshot, System};
@@ -61,25 +58,20 @@ use crate::system::{Snapshot, System};
 /// zero instead of misdecoding.
 pub const CKPT_VERSION: u32 = 1;
 
-/// Checkpoint file magic (version byte rides along, as in the run cache).
-const MAGIC: [u8; 8] = *b"CCCKP\0v1";
-
-/// Version-independent prefix: a file carrying it is *some* checkpoint
-/// version, so a mismatch is a clean miss, not corruption.
-const MAGIC_PREFIX: [u8; 7] = *b"CCCKP\0v";
-
-/// Header: magic + version + content-key echo + payload length.
-const HEADER_LEN: usize = 8 + 4 + 16 + 8;
-
-/// Footer: repeated payload length + FNV-1a-64 checksum.
-const FOOTER_LEN: usize = 8 + 8;
+/// The `.ckpt` envelope (its magic's version byte rides along, as in the
+/// run cache).
+const CKPT: Envelope = Envelope {
+    magic: *b"CCCKP\0v1",
+    version: CKPT_VERSION,
+    ext: "ckpt",
+    tmp_ext: "ckpt-tmp",
+};
 
 static STORES: AtomicU64 = AtomicU64::new(0);
 static STORE_FAILURES: AtomicU64 = AtomicU64::new(0);
 static RESUMES: AtomicU64 = AtomicU64::new(0);
 static QUARANTINED: AtomicU64 = AtomicU64::new(0);
 static REMOVED: AtomicU64 = AtomicU64::new(0);
-static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide checkpoint counters (see [`checkpoint_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,40 +120,21 @@ impl CheckpointStore {
 
     /// Checkpoint file path for a cell's content key.
     pub fn path_for(&self, key: u128) -> PathBuf {
-        self.dir.join(format!("{key:032x}.ckpt"))
+        CKPT.path(&self.dir, key)
     }
 
     /// Loads and verifies the checkpoint payload for `key`. Missing
     /// files and version mismatches are clean misses; corrupt files are
     /// quarantined and reported as misses (the cell restarts from zero).
     pub fn load(&self, key: u128) -> Option<Vec<u8>> {
-        let path = self.path_for(key);
-        let bytes = fault::before_read()
-            .ok()
-            .and_then(|()| fs::read(&path).ok())?;
-        if bytes.len() < HEADER_LEN + FOOTER_LEN || bytes[..7] != MAGIC_PREFIX {
-            self.quarantine(&path);
-            return None;
+        match CKPT.load(&self.dir, key) {
+            Loaded::Hit(payload) => Some(payload),
+            Loaded::Quarantined => {
+                QUARANTINED.fetch_add(1, Relaxed);
+                None
+            }
+            Loaded::Miss => None,
         }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if bytes[7] != MAGIC[7] || version != CKPT_VERSION {
-            return None; // another format version: clean miss
-        }
-        let stored_key = u128::from_le_bytes(bytes[12..28].try_into().unwrap());
-        let len = u64::from_le_bytes(bytes[28..36].try_into().unwrap()) as usize;
-        if stored_key != key || bytes.len() != HEADER_LEN + len + FOOTER_LEN {
-            self.quarantine(&path);
-            return None;
-        }
-        let payload = &bytes[HEADER_LEN..HEADER_LEN + len];
-        let footer = &bytes[HEADER_LEN + len..];
-        let footer_len = u64::from_le_bytes(footer[..8].try_into().unwrap()) as usize;
-        let footer_sum = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-        if footer_len != len || footer_sum != checksum_64(payload) {
-            self.quarantine(&path);
-            return None;
-        }
-        Some(payload.to_vec())
     }
 
     /// Persists `payload` under `key` atomically (temp file + rename,
@@ -169,36 +142,12 @@ impl CheckpointStore {
     /// [`CheckpointStats::store_failures`]; the run continues without
     /// durability for that boundary.
     pub fn store(&self, key: u128, payload: &[u8]) {
-        let final_path = self.path_for(key);
-        let tmp = self.dir.join(format!(
-            ".{key:032x}.{}.{}.ckpt-tmp",
-            std::process::id(),
-            TEMP_SEQ.fetch_add(1, Relaxed)
-        ));
-        let mut entry = Vec::with_capacity(HEADER_LEN + payload.len() + FOOTER_LEN);
-        entry.extend_from_slice(&MAGIC);
-        entry.extend_from_slice(&CKPT_VERSION.to_le_bytes());
-        entry.extend_from_slice(&key.to_le_bytes());
-        entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        entry.extend_from_slice(payload);
-        entry.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        entry.extend_from_slice(&checksum_64(payload).to_le_bytes());
-        let ok = (|| -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            fault::before_write()?;
-            f.write_all(&entry)?;
-            f.sync_data()?;
-            drop(f);
-            fault::before_rename()?;
-            fs::rename(&tmp, &final_path)
-        })();
-        match ok {
+        match CKPT.store(&self.dir, key, payload) {
             Ok(()) => {
                 STORES.fetch_add(1, Relaxed);
                 fault::after_checkpoint_stored();
             }
             Err(_) => {
-                let _ = fs::remove_file(&tmp);
                 STORE_FAILURES.fetch_add(1, Relaxed);
             }
         }
@@ -214,11 +163,7 @@ impl CheckpointStore {
     /// Quarantines an unverifiable checkpoint (`<name>.corrupt`) so it
     /// is never trusted again but remains inspectable.
     fn quarantine(&self, path: &Path) {
-        let mut q = path.as_os_str().to_os_string();
-        q.push(".corrupt");
-        if fs::rename(path, &q).is_err() {
-            let _ = fs::remove_file(path);
-        }
+        quarantine(path);
         QUARANTINED.fetch_add(1, Relaxed);
     }
 }

@@ -3,12 +3,11 @@
 //!
 //! Each driver builds a paper-configured [`System`], warms it up, measures
 //! a fixed number of retired instructions per core, and returns the
-//! [`RunResult`]. Run lengths default to laptop-scale (DESIGN.md
-//! substitution S5) and scale with the `CC_SCALE` environment variable
-//! (e.g. `CC_SCALE=10` runs 10× longer).
+//! [`RunResult`]. Run lengths default to laptop-scale (far shorter than
+//! the paper's 1B-instruction runs) and scale with the `CC_SCALE`
+//! environment variable (e.g. `CC_SCALE=10` runs 10× longer).
 
-use chargecache::MechanismSpec;
-use traces::{MixSpec, WorkloadSpec};
+use traces::WorkloadSpec;
 
 use crate::config::{InvalidConfig, SystemConfig};
 use crate::metrics::RunResult;
@@ -94,27 +93,6 @@ impl Default for ExpParams {
     }
 }
 
-/// Runs one workload on the paper's single-core system.
-///
-/// # Panics
-///
-/// Panics if the mechanism spec is invalid (use [`run_configured`] for
-/// graceful handling).
-pub fn run_single_core(spec: &WorkloadSpec, mechanism: &MechanismSpec, p: &ExpParams) -> RunResult {
-    let cfg = SystemConfig::paper_single_core(mechanism.clone());
-    run_configured(cfg, std::slice::from_ref(spec), p).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Runs one eight-core mix on the paper's multi-core system.
-///
-/// # Panics
-///
-/// Panics if the mechanism spec is invalid.
-pub fn run_eight_core(mix: &MixSpec, mechanism: &MechanismSpec, p: &ExpParams) -> RunResult {
-    let cfg = SystemConfig::paper_eight_core(mechanism.clone());
-    run_configured(cfg, &mix.apps, p).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Builds the fully-traced [`System`] an experiment runs on (the shared
 /// front half of [`run_configured`] and [`crate::api::run_probed`]).
 pub(crate) fn build_system(
@@ -161,13 +139,6 @@ pub fn run_configured(
     let warm = sys.snapshot();
     let reached = sys.run_until_retired(p.warmup_insts + p.insts_per_core, p.max_cycles());
     Ok(sys.result_since(&warm, !reached))
-}
-
-/// Alone-run IPC of a workload under a mechanism (the weighted-speedup
-/// denominator). Uses the single-core system but the *multi-core* row
-/// policy is irrelevant at one core, matching the paper's methodology.
-pub fn alone_ipc(spec: &WorkloadSpec, mechanism: &MechanismSpec, p: &ExpParams) -> f64 {
-    run_single_core(spec, mechanism, p).ipc(0)
 }
 
 /// Maps `f` over `items` on `threads` worker threads, preserving order.
@@ -237,7 +208,13 @@ pub fn default_threads() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chargecache::MechanismSpec;
     use traces::workload;
+
+    fn baseline_run(app: &str, p: &ExpParams) -> RunResult {
+        let cfg = SystemConfig::paper_single_core(MechanismSpec::baseline());
+        run_configured(cfg, &[workload(app).unwrap()], p).unwrap()
+    }
 
     #[test]
     fn par_map_preserves_order_and_values() {
@@ -253,9 +230,7 @@ mod tests {
 
     #[test]
     fn tiny_single_core_run_produces_metrics() {
-        let spec = workload("STREAMcopy").unwrap();
-        let p = ExpParams::tiny();
-        let r = run_single_core(&spec, &MechanismSpec::baseline(), &p);
+        let r = baseline_run("STREAMcopy", &ExpParams::tiny());
         assert!(!r.hit_cycle_cap, "run hit the cycle cap");
         assert!(r.ipc(0) > 0.0);
         assert!(r.rmpkc() > 0.0, "STREAMcopy must reach DRAM");
@@ -264,7 +239,6 @@ mod tests {
 
     #[test]
     fn hmmer_generates_almost_no_dram_traffic() {
-        let spec = workload("hmmer").unwrap();
         // hmmer needs its (LLC-resident) footprint warmed before the cold
         // misses stop; give it a longer warmup than the generic tiny run.
         let p = ExpParams {
@@ -272,7 +246,7 @@ mod tests {
             insts_per_core: 10_000,
             ..ExpParams::tiny()
         };
-        let r = run_single_core(&spec, &MechanismSpec::baseline(), &p);
+        let r = baseline_run("hmmer", &p);
         // Footprint ≤ LLC: after warmup, DRAM reads are rare.
         assert!(r.rmpkc() < 2.0, "hmmer RMPKC = {}", r.rmpkc());
     }

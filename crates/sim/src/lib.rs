@@ -35,6 +35,7 @@ pub mod api;
 pub mod cache;
 pub mod ckpt;
 pub mod config;
+mod envelope;
 pub mod exp;
 pub mod json;
 pub mod metrics;
@@ -48,6 +49,6 @@ pub use cache::{CacheStats, DiskCache, GcStats};
 pub use ckpt::{checkpoint_stats, CheckpointStats, CheckpointStore};
 pub use config::{Engine, InvalidConfig, SystemConfig};
 pub use dram::{SpeedBin, TimingSpec};
-pub use exp::{alone_ipc, par_map, run_configured, run_eight_core, run_single_core, ExpParams};
+pub use exp::{par_map, run_configured, ExpParams};
 pub use metrics::{speedup_over, weighted_speedup, RunResult};
 pub use system::System;

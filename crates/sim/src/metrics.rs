@@ -4,6 +4,10 @@
 use chargecache::{MechanismReport, StatSink};
 use cpu::{CoreStats, LlcStats};
 use drampower::EnergyBreakdown;
+use fasthash::codec::{
+    put_bool, put_f64, put_str, put_u64, put_usize, take_bool, take_f64, take_str, take_u64,
+    take_usize, CodecResult,
+};
 use memctrl::{CtrlStats, ReuseReport, RltlReport};
 
 /// Everything measured in one simulation run (post-warmup).
@@ -60,7 +64,8 @@ impl RunResult {
     }
 
     /// Serializes the full result to the exact little-endian byte layout
-    /// the disk run cache ([`crate::cache`]) persists. Floats are encoded
+    /// the disk run cache ([`crate::cache`]) persists, written with the
+    /// [`fasthash::codec`] primitives. Floats are encoded
     /// as raw IEEE-754 bit patterns, so `decode(encode(r)) == r`
     /// *bit-identically* — the property the resume-byte-identity golden
     /// stands on. JSON is deliberately not used here: `u64` counters
@@ -71,17 +76,15 @@ impl RunResult {
     /// misdecoded.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
-        let w64 = |out: &mut Vec<u8>, v: u64| out.extend_from_slice(&v.to_le_bytes());
-        let wf = |out: &mut Vec<u8>, v: f64| out.extend_from_slice(&v.to_bits().to_le_bytes());
-        w64(&mut out, self.cores.len() as u64);
+        put_usize(&mut out, self.cores.len());
         for c in &self.cores {
             for v in [c.retired, c.cycles, c.loads, c.stores, c.stall_cycles] {
-                w64(&mut out, v);
+                put_u64(&mut out, v);
             }
         }
-        w64(&mut out, self.cpu_cycles);
+        put_u64(&mut out, self.cpu_cycles);
         let s = &self.ctrl;
-        for v in [
+        let ctrl = [
             s.reads,
             s.writes,
             s.forwarded_reads,
@@ -91,155 +94,146 @@ impl RunResult {
             s.refreshes,
             s.read_latency_sum,
             s.read_latency_count,
-        ] {
-            w64(&mut out, v);
-        }
-        for &b in &s.read_latency_hist {
-            w64(&mut out, b);
-        }
-        for v in [s.sched_passes, s.sched_bank_visits, s.index_release_misses] {
-            w64(&mut out, v);
-        }
+        ];
+        let sched = [s.sched_passes, s.sched_bank_visits, s.index_release_misses];
         let l = &self.llc;
-        for v in [
+        let llc = [
             l.read_accesses,
             l.read_hits,
             l.write_accesses,
             l.write_hits,
             l.fills,
             l.writebacks,
-        ] {
-            w64(&mut out, v);
+        ];
+        for v in ctrl
+            .into_iter()
+            .chain(s.read_latency_hist)
+            .chain(sched)
+            .chain(llc)
+        {
+            put_u64(&mut out, v);
         }
         let counters: Vec<(&str, u64)> = self.mech.iter().collect();
-        w64(&mut out, counters.len() as u64);
+        put_usize(&mut out, counters.len());
         for (name, value) in counters {
-            w64(&mut out, name.len() as u64);
-            out.extend_from_slice(name.as_bytes());
-            w64(&mut out, value);
+            put_str(&mut out, name);
+            put_u64(&mut out, value);
         }
-        w64(&mut out, self.rltl.intervals_ms.len() as u64);
-        for &v in &self.rltl.intervals_ms {
-            wf(&mut out, v);
+        for vs in [&self.rltl.intervals_ms, &self.rltl.rltl_fraction] {
+            put_usize(&mut out, vs.len());
+            vs.iter().for_each(|&v| put_f64(&mut out, v));
         }
-        w64(&mut out, self.rltl.rltl_fraction.len() as u64);
-        for &v in &self.rltl.rltl_fraction {
-            wf(&mut out, v);
+        put_f64(&mut out, self.rltl.refresh_8ms_fraction);
+        put_u64(&mut out, self.rltl.activations);
+        for vs in [&self.reuse.bucket_bounds, &self.reuse.counts] {
+            put_usize(&mut out, vs.len());
+            vs.iter().for_each(|&v| put_u64(&mut out, v));
         }
-        wf(&mut out, self.rltl.refresh_8ms_fraction);
-        w64(&mut out, self.rltl.activations);
-        w64(&mut out, self.reuse.bucket_bounds.len() as u64);
-        for &v in &self.reuse.bucket_bounds {
-            w64(&mut out, v);
-        }
-        w64(&mut out, self.reuse.counts.len() as u64);
-        for &v in &self.reuse.counts {
-            w64(&mut out, v);
-        }
-        w64(&mut out, self.reuse.cold_or_beyond);
-        w64(&mut out, self.reuse.activations);
+        put_u64(&mut out, self.reuse.cold_or_beyond);
+        put_u64(&mut out, self.reuse.activations);
+        let e = &self.energy;
         for v in [
-            self.energy.background_pj,
-            self.energy.activate_pj,
-            self.energy.read_pj,
-            self.energy.write_pj,
-            self.energy.refresh_pj,
+            e.background_pj,
+            e.activate_pj,
+            e.read_pj,
+            e.write_pj,
+            e.refresh_pj,
         ] {
-            wf(&mut out, v);
+            put_f64(&mut out, v);
         }
-        out.push(u8::from(self.hit_cycle_cap));
+        put_bool(&mut out, self.hit_cycle_cap);
         out
     }
 
-    /// Inverse of [`RunResult::encode`]. `None` on any truncation or
-    /// structural mismatch — the cache treats that as a corrupt entry
-    /// (quarantine + re-simulate), never as a partial result.
+    /// Inverse of [`RunResult::encode`]. `None` on any truncation,
+    /// implausible length or trailing byte — the cache treats that as a
+    /// corrupt entry (quarantine + re-simulate), never as a partial
+    /// result.
     pub fn decode(bytes: &[u8]) -> Option<RunResult> {
-        let mut r = Reader { bytes, at: 0 };
-        let n_cores = r.u64()? as usize;
+        let mut input = bytes;
+        let r = Self::decode_from(&mut input).ok()?;
+        input.is_empty().then_some(r)
+    }
+
+    fn decode_from(input: &mut &[u8]) -> CodecResult<RunResult> {
+        let u64 = |input: &mut &[u8]| take_u64(input, "run result");
+        let f64 = |input: &mut &[u8]| take_f64(input, "run result");
         // Cap implausible lengths before allocating.
-        if n_cores > 4096 {
-            return None;
-        }
+        let len = |input: &mut &[u8], max: usize| match take_usize(input, "run result length")? {
+            n if n > max => Err(format!("implausible run result length {n}")),
+            n => Ok(n),
+        };
+        let n_cores = len(input, 4096)?;
         let mut cores = Vec::with_capacity(n_cores);
         for _ in 0..n_cores {
             cores.push(CoreStats {
-                retired: r.u64()?,
-                cycles: r.u64()?,
-                loads: r.u64()?,
-                stores: r.u64()?,
-                stall_cycles: r.u64()?,
+                retired: u64(input)?,
+                cycles: u64(input)?,
+                loads: u64(input)?,
+                stores: u64(input)?,
+                stall_cycles: u64(input)?,
             });
         }
-        let cpu_cycles = r.u64()?;
+        let cpu_cycles = u64(input)?;
         let mut ctrl = CtrlStats {
-            reads: r.u64()?,
-            writes: r.u64()?,
-            forwarded_reads: r.u64()?,
-            row_hits: r.u64()?,
-            row_misses: r.u64()?,
-            row_conflicts: r.u64()?,
-            refreshes: r.u64()?,
-            read_latency_sum: r.u64()?,
-            read_latency_count: r.u64()?,
+            reads: u64(input)?,
+            writes: u64(input)?,
+            forwarded_reads: u64(input)?,
+            row_hits: u64(input)?,
+            row_misses: u64(input)?,
+            row_conflicts: u64(input)?,
+            refreshes: u64(input)?,
+            read_latency_sum: u64(input)?,
+            read_latency_count: u64(input)?,
             ..CtrlStats::default()
         };
         for b in ctrl.read_latency_hist.iter_mut() {
-            *b = r.u64()?;
+            *b = u64(input)?;
         }
-        ctrl.sched_passes = r.u64()?;
-        ctrl.sched_bank_visits = r.u64()?;
-        ctrl.index_release_misses = r.u64()?;
+        ctrl.sched_passes = u64(input)?;
+        ctrl.sched_bank_visits = u64(input)?;
+        ctrl.index_release_misses = u64(input)?;
         let llc = LlcStats {
-            read_accesses: r.u64()?,
-            read_hits: r.u64()?,
-            write_accesses: r.u64()?,
-            write_hits: r.u64()?,
-            fills: r.u64()?,
-            writebacks: r.u64()?,
+            read_accesses: u64(input)?,
+            read_hits: u64(input)?,
+            write_accesses: u64(input)?,
+            write_hits: u64(input)?,
+            fills: u64(input)?,
+            writebacks: u64(input)?,
         };
-        let n_counters = r.u64()? as usize;
-        if n_counters > 65_536 {
-            return None;
-        }
         let mut mech = MechanismReport::default();
-        for _ in 0..n_counters {
-            let len = r.u64()? as usize;
-            let name = std::str::from_utf8(r.take(len)?).ok()?;
-            let value = r.u64()?;
+        for _ in 0..len(input, 65_536)? {
+            let name = take_str(input, "mechanism counter name")?;
             // `counter` pushes unseen names even at value 0, so zero-valued
             // counters survive the round trip (`has()` is preserved).
-            mech.counter(name, value);
+            mech.counter(&name, u64(input)?);
         }
+        let n = len(input, 65_536)?;
+        let intervals_ms = (0..n).map(|_| f64(input)).collect::<CodecResult<_>>()?;
+        let n = len(input, 65_536)?;
         let rltl = RltlReport {
-            intervals_ms: r.f64_vec()?,
-            rltl_fraction: r.f64_vec()?,
-            refresh_8ms_fraction: r.f64()?,
-            activations: r.u64()?,
+            intervals_ms,
+            rltl_fraction: (0..n).map(|_| f64(input)).collect::<CodecResult<_>>()?,
+            refresh_8ms_fraction: f64(input)?,
+            activations: u64(input)?,
         };
+        let n = len(input, 65_536)?;
+        let bucket_bounds = (0..n).map(|_| u64(input)).collect::<CodecResult<_>>()?;
+        let n = len(input, 65_536)?;
         let reuse = ReuseReport {
-            bucket_bounds: r.u64_vec()?,
-            counts: r.u64_vec()?,
-            cold_or_beyond: r.u64()?,
-            activations: r.u64()?,
+            bucket_bounds,
+            counts: (0..n).map(|_| u64(input)).collect::<CodecResult<_>>()?,
+            cold_or_beyond: u64(input)?,
+            activations: u64(input)?,
         };
         let energy = EnergyBreakdown {
-            background_pj: r.f64()?,
-            activate_pj: r.f64()?,
-            read_pj: r.f64()?,
-            write_pj: r.f64()?,
-            refresh_pj: r.f64()?,
+            background_pj: f64(input)?,
+            activate_pj: f64(input)?,
+            read_pj: f64(input)?,
+            write_pj: f64(input)?,
+            refresh_pj: f64(input)?,
         };
-        let hit_cycle_cap = match r.take(1)? {
-            [0] => false,
-            [1] => true,
-            _ => return None,
-        };
-        // Trailing garbage is corruption too.
-        if r.at != r.bytes.len() {
-            return None;
-        }
-        Some(RunResult {
+        Ok(RunResult {
             cores,
             cpu_cycles,
             ctrl,
@@ -248,47 +242,8 @@ impl RunResult {
             rltl,
             reuse,
             energy,
-            hit_cycle_cap,
+            hit_cycle_cap: take_bool(input, "hit_cycle_cap")?,
         })
-    }
-}
-
-/// Bounds-checked little-endian cursor for [`RunResult::decode`].
-struct Reader<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn u64_vec(&mut self) -> Option<Vec<u64>> {
-        let n = self.u64()? as usize;
-        if n > 65_536 {
-            return None;
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    fn f64_vec(&mut self) -> Option<Vec<f64>> {
-        let n = self.u64()? as usize;
-        if n > 65_536 {
-            return None;
-        }
-        (0..n).map(|_| self.f64()).collect()
     }
 }
 
@@ -407,6 +362,12 @@ mod tests {
         assert!(back.mech.has("cc.zero_valued"));
         // And the encoding itself is deterministic.
         assert_eq!(bytes, back.encode());
+        // Frozen layout: `.run` entries written by earlier builds must
+        // keep decoding to the same result.
+        assert_eq!(
+            (bytes.len(), fasthash::checksum_64(&bytes)),
+            (635, 0xd5f5_201f_b0ac_aa69)
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`SweepSpec`] names an [`Experiment`] in the existing subject ×
 //! family × timing × mechanism × variant vocabulary, as plain strings
-//! (mechanism, family and timing specs in their `name(key=val,...)`
-//! grammar, subjects as workload or mix names). Parsing validates
+//! (mechanism, family and timing specs in the shared spec grammar of
+//! [`dram::spec`], subjects as workload or mix names). Parsing validates
 //! everything up front — an invalid spec is rejected at the protocol
 //! boundary with a typed `bad-spec` error, never deep inside the
 //! daemon's queue.
@@ -24,6 +24,8 @@
 //! the single `paper` variant, and params to [`ExpParams::bench`] *as
 //! resolved by the daemon* — clients that need deterministic run lengths
 //! (the `cc-sim --server` client always does) send `params` explicitly.
+
+use std::str::FromStr;
 
 use chargecache::{registry, MechanismSpec, ParamValue};
 use dram::{FamilySpec, TimingSpec};
@@ -78,6 +80,26 @@ pub struct SweepSpec {
     pub engine: Option<Engine>,
 }
 
+/// Parses the optional array member `key` of spec strings, passing each
+/// through `check` (which validates and may canonicalize it).
+fn spec_array<T: FromStr<Err = String>>(
+    j: &Json,
+    key: &str,
+    check: impl Fn(T) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let Some(arr) = j.get(key).and_then(Json::as_arr) else {
+        return Ok(Vec::new());
+    };
+    arr.iter()
+        .map(|v| {
+            let s = v
+                .as_str()
+                .ok_or_else(|| format!("{key} must be spec strings, got {v}"))?;
+            check(s.parse()?)
+        })
+        .collect()
+}
+
 impl SweepSpec {
     /// Parses and validates a spec from its JSON wire form.
     ///
@@ -109,41 +131,16 @@ impl SweepSpec {
             }
         }
 
-        let mut mechanisms = Vec::new();
-        if let Some(arr) = j.get("mechanisms").and_then(Json::as_arr) {
-            for m in arr {
-                let s = m
-                    .as_str()
-                    .ok_or_else(|| format!("mechanisms must be spec strings, got {m}"))?;
-                let spec = registry::canonicalize(&s.parse::<MechanismSpec>()?);
-                registry::validate_spec(&spec)?;
-                mechanisms.push(spec);
-            }
-        }
-
-        let mut families = Vec::new();
-        if let Some(arr) = j.get("families").and_then(Json::as_arr) {
-            for f in arr {
-                let s = f
-                    .as_str()
-                    .ok_or_else(|| format!("families must be spec strings, got {f}"))?;
-                let spec: FamilySpec = s.parse()?;
-                dram::family::resolve(&spec).map_err(|e| e.to_string())?;
-                families.push(spec);
-            }
-        }
-
-        let mut timings = Vec::new();
-        if let Some(arr) = j.get("timings").and_then(Json::as_arr) {
-            for t in arr {
-                let s = t
-                    .as_str()
-                    .ok_or_else(|| format!("timings must be spec strings, got {t}"))?;
-                let spec: TimingSpec = s.parse()?;
-                spec.resolve()?;
-                timings.push(spec);
-            }
-        }
+        let mechanisms = spec_array(j, "mechanisms", |m: MechanismSpec| {
+            let m = registry::canonicalize(&m);
+            registry::validate_spec(&m).map(|()| m)
+        })?;
+        let families = spec_array(j, "families", |f: FamilySpec| {
+            dram::family::resolve(&f)
+                .map(|_| f)
+                .map_err(|e| e.to_string())
+        })?;
+        let timings = spec_array(j, "timings", |t: TimingSpec| t.resolve().map(|_| t))?;
 
         let mut variants = Vec::new();
         if let Some(arr) = j.get("variants").and_then(Json::as_arr) {

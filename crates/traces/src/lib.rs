@@ -2,7 +2,7 @@
 //!
 //! The paper drives Ramulator with Pin-collected traces of 22 SPEC
 //! CPU2006 / TPC / STREAM workloads. Those traces are not redistributable,
-//! so this crate supplies the substitute (DESIGN.md substitution S1):
+//! so this crate supplies synthetic substitutes:
 //!
 //! * [`gen`] — deterministic pattern generators (streams, uniform random,
 //!   Zipf row popularity, mixtures) implementing [`cpu::TraceSource`];

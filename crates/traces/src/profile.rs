@@ -1,7 +1,7 @@
 //! Named workload profiles standing in for the paper's trace suite.
 //!
 //! The paper evaluates 22 workloads from SPEC CPU2006, TPC and STREAM,
-//! replayed from Pin traces we do not have (substitution S1 in DESIGN.md).
+//! replayed from Pin traces that are not redistributable.
 //! Each profile below is a deterministic synthetic generator whose knobs
 //! are set from the paper's own qualitative statements and the public
 //! characterization of each benchmark:

@@ -15,8 +15,8 @@
 //! * [`drampower`] — IDD-based DDR3 energy model;
 //! * [`sim`] — full-system simulator and experiment drivers.
 //!
-//! See `README.md` for the quickstart and `DESIGN.md` for the
-//! paper-to-module map.
+//! See `README.md` for the quickstart and `docs/ARCHITECTURE.md` for the
+//! crate map.
 //!
 //! # Example
 //!
@@ -55,7 +55,7 @@ pub mod prelude {
     pub use dram::{DramConfig, DramDevice, TimingParams};
     pub use memctrl::{CtrlConfig, MemorySystem, RowPolicy};
     pub use sim::api::{run_probed, Experiment, Metric, Probe, SampleSeries, SweepResult, Variant};
-    pub use sim::exp::{run_eight_core, run_single_core, ExpParams};
+    pub use sim::exp::{run_configured, ExpParams};
     pub use sim::{InvalidConfig, RunResult, System, SystemConfig};
     pub use traces::{eight_core_mixes, single_core_workloads, workload};
 }

@@ -2,8 +2,21 @@
 //! hold end-to-end on tiny (debug-friendly) runs.
 
 use chargecache::MechanismSpec;
-use sim::exp::{run_eight_core, run_single_core, ExpParams};
-use traces::{eight_core_mixes, workload};
+use sim::exp::{run_configured, ExpParams};
+use sim::{RunResult, SystemConfig};
+use traces::{eight_core_mixes, workload, MixSpec, WorkloadSpec};
+
+/// Runs one workload on the paper's single-core system.
+fn single_core(app: &WorkloadSpec, mechanism: &MechanismSpec, p: &ExpParams) -> RunResult {
+    let cfg = SystemConfig::paper_single_core(mechanism.clone());
+    run_configured(cfg, std::slice::from_ref(app), p).expect("valid paper configuration")
+}
+
+/// Runs one mix on the paper's eight-core system.
+fn eight_core(mix: &MixSpec, mechanism: &MechanismSpec, p: &ExpParams) -> RunResult {
+    let cfg = SystemConfig::paper_eight_core(mechanism.clone());
+    run_configured(cfg, &mix.apps, p).expect("valid paper configuration")
+}
 
 fn params() -> ExpParams {
     ExpParams::tiny()
@@ -15,8 +28,8 @@ fn params() -> ExpParams {
 fn chargecache_does_not_degrade_streamcopy() {
     let spec = workload("STREAMcopy").unwrap();
     let p = params();
-    let base = run_single_core(&spec, &MechanismSpec::baseline(), &p);
-    let ccr = run_single_core(&spec, &MechanismSpec::chargecache(), &p);
+    let base = single_core(&spec, &MechanismSpec::baseline(), &p);
+    let ccr = single_core(&spec, &MechanismSpec::chargecache(), &p);
     assert!(
         ccr.ipc(0) >= base.ipc(0) * 0.995,
         "CC {} vs baseline {}",
@@ -31,8 +44,8 @@ fn chargecache_does_not_degrade_streamcopy() {
 fn lldram_bounds_chargecache_from_above() {
     let spec = workload("mcf").unwrap();
     let p = params();
-    let ccr = run_single_core(&spec, &MechanismSpec::chargecache(), &p);
-    let ll = run_single_core(&spec, &MechanismSpec::lldram(), &p);
+    let ccr = single_core(&spec, &MechanismSpec::chargecache(), &p);
+    let ll = single_core(&spec, &MechanismSpec::lldram(), &p);
     assert!(
         ll.ipc(0) >= ccr.ipc(0) * 0.995,
         "LL {} vs CC {}",
@@ -47,7 +60,7 @@ fn lldram_bounds_chargecache_from_above() {
 fn rltl_dominates_refresh_fraction() {
     let spec = workload("STREAMcopy").unwrap();
     let p = params();
-    let r = run_single_core(&spec, &MechanismSpec::baseline(), &p);
+    let r = single_core(&spec, &MechanismSpec::baseline(), &p);
     // 8 ms bucket (index 4) vs 8 ms-after-refresh.
     let rltl = r.rltl.rltl_fraction[4];
     let refr = r.rltl.refresh_8ms_fraction;
@@ -64,7 +77,7 @@ fn rltl_dominates_refresh_fraction() {
 fn high_rltl_workload_hits_in_hcrac() {
     let spec = workload("STREAMcopy").unwrap();
     let p = params();
-    let r = run_single_core(&spec, &MechanismSpec::chargecache(), &p);
+    let r = single_core(&spec, &MechanismSpec::chargecache(), &p);
     let hit = r.hcrac_hit_rate().unwrap();
     assert!(hit > 0.5, "hit rate = {hit}");
     assert!(r.mech.reduced_fraction() > 0.5);
@@ -79,9 +92,9 @@ fn hmmer_is_unaffected_by_any_mechanism() {
         insts_per_core: 8_000,
         ..params()
     };
-    let base = run_single_core(&spec, &MechanismSpec::baseline(), &p);
+    let base = single_core(&spec, &MechanismSpec::baseline(), &p);
     for spec_m in [MechanismSpec::chargecache(), MechanismSpec::lldram()] {
-        let r = run_single_core(&spec, &spec_m, &p);
+        let r = single_core(&spec, &spec_m, &p);
         let delta = (r.ipc(0) / base.ipc(0) - 1.0).abs();
         assert!(delta < 0.01, "{spec_m} moved hmmer by {delta}");
     }
@@ -93,11 +106,11 @@ fn hmmer_is_unaffected_by_any_mechanism() {
 fn multicore_contention_raises_rltl() {
     let p = params();
     let mix = &eight_core_mixes()[0];
-    let eight = run_eight_core(mix, &MechanismSpec::baseline(), &p);
+    let eight = eight_core(mix, &MechanismSpec::baseline(), &p);
     // Weighted single-core average of the same apps.
     let mut singles = Vec::new();
     for app in &mix.apps {
-        let r = run_single_core(app, &MechanismSpec::baseline(), &p);
+        let r = single_core(app, &MechanismSpec::baseline(), &p);
         if r.rltl.activations > 100 {
             singles.push(r.rltl.rltl_fraction[3]); // ≤ 1 ms
         }
@@ -116,8 +129,8 @@ fn multicore_contention_raises_rltl() {
 fn chargecache_saves_energy_when_it_saves_time() {
     let spec = workload("milc").unwrap();
     let p = params();
-    let base = run_single_core(&spec, &MechanismSpec::baseline(), &p);
-    let ccr = run_single_core(&spec, &MechanismSpec::chargecache(), &p);
+    let base = single_core(&spec, &MechanismSpec::baseline(), &p);
+    let ccr = single_core(&spec, &MechanismSpec::chargecache(), &p);
     if ccr.cpu_cycles < base.cpu_cycles {
         assert!(
             ccr.energy.total_pj() < base.energy.total_pj() * 1.001,
@@ -137,7 +150,7 @@ fn all_mechanisms_run_an_eight_core_mix() {
     };
     let mix = &eight_core_mixes()[1];
     for spec in MechanismSpec::paper_all() {
-        let r = run_eight_core(mix, &spec, &p);
+        let r = eight_core(mix, &spec, &p);
         assert!(!r.hit_cycle_cap, "{spec} hit the cycle cap");
         for core in 0..8 {
             assert!(r.ipc(core) > 0.0, "{spec} core {core} stuck");
