@@ -8,7 +8,10 @@
 //!
 //! An unlimited-capacity variant backs Figure 9's hit-rate ceiling.
 
-use fasthash::FastHashMap;
+use fasthash::codec::{
+    load_map, load_slice, put_slice, put_sorted_map, put_u8, CodecResult, State,
+};
+use fasthash::{impl_state, FastHashMap};
 
 use crate::RowKey;
 
@@ -285,96 +288,60 @@ impl Hcrac {
         }
     }
 
-    /// Serializes the HCRAC's complete state (checkpoint support). The
-    /// unlimited variant's map is written sorted by key so the byte
-    /// stream is deterministic regardless of hash-map iteration order.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        match &self.storage {
-            Storage::SetAssoc { entries, .. } => {
-                put_u8(out, 0);
-                put_usize(out, entries.len());
-                for e in entries {
-                    put_u64(out, e.key.raw());
-                    put_u64(out, e.inserted_at);
-                    put_u64(out, e.stamp);
-                    put_bool(out, e.valid);
-                }
-            }
-            Storage::Unlimited { map } => {
-                put_u8(out, 1);
-                let mut items: Vec<(RowKey, u64)> = map.iter().map(|(&k, &v)| (k, v)).collect();
-                items.sort_unstable();
-                put_usize(out, items.len());
-                for (k, t) in items {
-                    put_u64(out, k.raw());
-                    put_u64(out, t);
-                }
-            }
-        }
-        put_u64(out, self.stamp);
-        for v in [
-            self.stats.lookups,
-            self.stats.hits,
-            self.stats.inserts,
-            self.stats.capacity_evictions,
-            self.stats.invalidations,
-        ] {
-            put_u64(out, v);
-        }
-    }
-
-    /// Restores state saved by [`Self::save_state`] into an HCRAC built
-    /// with the same geometry.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let tag = take_u8(input, "hcrac storage tag")?;
-        match (&mut self.storage, tag) {
-            (Storage::SetAssoc { entries, .. }, 0) => {
-                let n = take_len(input, 25, "hcrac entries")?;
-                if n != entries.len() {
-                    return Err(format!(
-                        "hcrac geometry mismatch: checkpoint has {n} entries, cache has {}",
-                        entries.len()
-                    ));
-                }
-                for e in entries.iter_mut() {
-                    *e = Entry {
-                        key: RowKey(take_u64(input, "hcrac key")?),
-                        inserted_at: take_u64(input, "hcrac inserted_at")?,
-                        stamp: take_u64(input, "hcrac entry stamp")?,
-                        valid: take_bool(input, "hcrac valid")?,
-                    };
-                }
-            }
-            (Storage::Unlimited { map }, 1) => {
-                let n = take_len(input, 16, "hcrac map")?;
-                map.clear();
-                for _ in 0..n {
-                    let k = RowKey(take_u64(input, "hcrac map key")?);
-                    let t = take_u64(input, "hcrac map time")?;
-                    map.insert(k, t);
-                }
-            }
-            _ => return Err(format!("hcrac storage kind mismatch (tag {tag})")),
-        }
-        self.stamp = take_u64(input, "hcrac stamp")?;
-        self.stats = HcracStats {
-            lookups: take_u64(input, "hcrac lookups")?,
-            hits: take_u64(input, "hcrac hits")?,
-            inserts: take_u64(input, "hcrac inserts")?,
-            capacity_evictions: take_u64(input, "hcrac evictions")?,
-            invalidations: take_u64(input, "hcrac invalidations")?,
-        };
-        Ok(())
-    }
-
     fn set_of(key: RowKey, sets: usize) -> usize {
         // Mix the upper coordinate bits down so banks/channels spread
         // across sets rather than aliasing on row bits alone.
         let k = key.raw();
         let mixed = k ^ (k >> 32) ^ (k >> 48);
         (mixed as usize) & (sets - 1)
+    }
+}
+
+impl_state!(Entry {
+    key,
+    inserted_at,
+    stamp,
+    valid
+});
+
+impl_state!(HcracStats {
+    lookups,
+    hits,
+    inserts,
+    capacity_evictions,
+    invalidations
+});
+
+/// The HCRAC's complete state (checkpoint support): a storage tag (0 =
+/// set-associative entries, 1 = the unlimited variant's map), then the
+/// LRU stamp and statistics.
+impl State for Hcrac {
+    fn put(&self, out: &mut Vec<u8>) {
+        match &self.storage {
+            Storage::SetAssoc { entries, .. } => {
+                put_u8(out, 0);
+                put_slice(out, entries);
+            }
+            Storage::Unlimited { map } => {
+                put_u8(out, 1);
+                put_sorted_map(out, map);
+            }
+        }
+        self.stamp.put(out);
+        self.stats.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        let tag = u8::take(input)?;
+        match (&mut self.storage, tag) {
+            (Storage::SetAssoc { entries, .. }, 0) => load_slice(input, entries, |n, have| {
+                format!("hcrac geometry mismatch: checkpoint has {n} entries, cache has {have}")
+            })?,
+            (Storage::Unlimited { map }, 1) => load_map(input, map)?,
+            _ => return Err(format!("hcrac storage kind mismatch (tag {tag})")),
+        }
+        self.stamp.load(input)?;
+        self.stats.load(input)
     }
 }
 

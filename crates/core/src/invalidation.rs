@@ -15,6 +15,8 @@
 //! cost of some entries being invalidated prematurely (up to one full
 //! period early).
 
+use fasthash::codec::{CodecResult, State};
+
 /// The IIC/EC counter pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeriodicInvalidator {
@@ -78,20 +80,18 @@ impl PeriodicInvalidator {
     pub fn cycles_to_next(&self, now: u64) -> u64 {
         self.next_fire.saturating_sub(now)
     }
+}
 
-    /// Serializes the counter pair's mutable state (checkpoint support).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_u64(out, self.next_fire);
-        put_usize(out, self.ec);
+/// The counter pair's mutable state (checkpoint support); the period
+/// and entry count come from the configuration.
+impl State for PeriodicInvalidator {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.next_fire, self.ec).put(out);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a counter pair
-    /// built with the same period and entry count.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        self.next_fire = take_u64(input, "invalidator next_fire")?;
-        let ec = take_usize(input, "invalidator ec")?;
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        self.next_fire.load(input)?;
+        let ec = usize::take(input)?;
         if ec >= self.entries {
             return Err(format!("invalidator ec {ec} out of range"));
         }

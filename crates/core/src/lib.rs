@@ -74,8 +74,10 @@ pub use spec::{
 
 /// Globally unique identifier of one DRAM row: channel, rank, bank and row
 /// packed into 64 bits. This is what the HCRAC tags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowKey(u64);
+
+fasthash::impl_state!(RowKey { 0 });
 
 impl RowKey {
     /// Packs row coordinates into a key.

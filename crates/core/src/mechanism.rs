@@ -31,6 +31,8 @@
 
 use bitline::derive::CycleQuantized;
 use dram::{ActTimings, BusCycle, TimingParams};
+use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+use fasthash::impl_state;
 
 use crate::config::{ChargeCacheConfig, InvalidationPolicy, NuatConfig};
 use crate::hcrac::{Hcrac, HcracStats};
@@ -94,9 +96,15 @@ pub trait LatencyMechanism: Send {
     /// checkpointing, returning `true` on success. The default returns
     /// `false` — "not supported" — which disables mid-run checkpointing
     /// for runs using this mechanism (they still produce correct results;
-    /// they just restart from zero after a crash). Implementations must
-    /// write a byte stream that [`Self::load_state`] can consume and that
-    /// is deterministic for equal state (sort any hash-map iteration).
+    /// they just restart from zero after a crash).
+    ///
+    /// To support checkpoints, implement [`fasthash::codec::State`] for
+    /// the mechanism (for plain counter structs,
+    /// [`fasthash::impl_state!`] is one line) and write
+    /// [`state_hooks!`](crate::state_hooks) in this impl block, which
+    /// defines both hooks by delegating to it. The module docs of
+    /// [`fasthash::codec`] describe the wire conventions (sorted maps,
+    /// prefixed sequences) that keep the bytes deterministic.
     fn save_state(&self, _out: &mut Vec<u8>) -> bool {
         false
     }
@@ -114,6 +122,24 @@ pub trait LatencyMechanism: Send {
             self.name()
         ))
     }
+}
+
+/// Defines the [`LatencyMechanism`] checkpoint hooks
+/// ([`LatencyMechanism::save_state`], [`LatencyMechanism::load_state`])
+/// by delegating to the mechanism's [`fasthash::codec::State`] impl.
+/// Write it inside the `impl LatencyMechanism for ...` block.
+#[macro_export]
+macro_rules! state_hooks {
+    () => {
+        fn save_state(&self, out: &mut Vec<u8>) -> bool {
+            fasthash::codec::State::put(self, out);
+            true
+        }
+
+        fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
+            fasthash::codec::State::load(self, input)
+        }
+    };
 }
 
 /// Pushes the HCRAC counter block into a sink.
@@ -159,15 +185,7 @@ impl LatencyMechanism for Baseline {
         "baseline"
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        fasthash::codec::put_u64(out, self.activates);
-        true
-    }
-
-    fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        self.activates = fasthash::codec::take_u64(input, "baseline activates")?;
-        Ok(())
-    }
+    state_hooks!();
 }
 
 /// The ChargeCache mechanism: HCRAC(s) plus invalidation.
@@ -371,57 +389,7 @@ impl LatencyMechanism for ChargeCache {
         "chargecache"
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use fasthash::codec::*;
-        put_usize(out, self.caches.len());
-        for c in &self.caches {
-            c.save_state(out);
-        }
-        put_usize(out, self.invalidators.len());
-        for inv in &self.invalidators {
-            inv.save_state(out);
-        }
-        for v in [
-            self.next_sweep,
-            self.next_fire_min,
-            self.activates,
-            self.reduced_activates,
-            self.clamped_activates,
-        ] {
-            put_u64(out, v);
-        }
-        true
-    }
-
-    fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let nc = take_len(input, 8, "hcrac instances")?;
-        if nc != self.caches.len() {
-            return Err(format!(
-                "hcrac instance mismatch: checkpoint has {nc}, mechanism has {}",
-                self.caches.len()
-            ));
-        }
-        for c in &mut self.caches {
-            c.load_state(input)?;
-        }
-        let ni = take_len(input, 8, "invalidators")?;
-        if ni != self.invalidators.len() {
-            return Err(format!(
-                "invalidator count mismatch: checkpoint has {ni}, mechanism has {}",
-                self.invalidators.len()
-            ));
-        }
-        for inv in &mut self.invalidators {
-            inv.load_state(input)?;
-        }
-        self.next_sweep = take_u64(input, "next_sweep")?;
-        self.next_fire_min = take_u64(input, "next_fire_min")?;
-        self.activates = take_u64(input, "cc activates")?;
-        self.reduced_activates = take_u64(input, "cc reduced")?;
-        self.clamped_activates = take_u64(input, "cc clamped")?;
-        Ok(())
-    }
+    state_hooks!();
 }
 
 /// NUAT: activations of recently-refreshed rows use reduced timings.
@@ -520,25 +488,7 @@ impl LatencyMechanism for Nuat {
         "nuat"
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use fasthash::codec::*;
-        for v in [
-            self.activates,
-            self.reduced_activates,
-            self.clamped_activates,
-        ] {
-            put_u64(out, v);
-        }
-        true
-    }
-
-    fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        self.activates = take_u64(input, "nuat activates")?;
-        self.reduced_activates = take_u64(input, "nuat reduced")?;
-        self.clamped_activates = take_u64(input, "nuat clamped")?;
-        Ok(())
-    }
+    state_hooks!();
 }
 
 /// ChargeCache with NUAT as the fallback for HCRAC misses.
@@ -609,14 +559,7 @@ impl LatencyMechanism for CcNuat {
         "cc-nuat"
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        self.cc.save_state(out) && self.nuat.save_state(out)
-    }
-
-    fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        self.cc.load_state(input)?;
-        self.nuat.load_state(input)
-    }
+    state_hooks!();
 }
 
 /// Idealized low-latency DRAM: every activation is a ChargeCache hit.
@@ -661,16 +604,57 @@ impl LatencyMechanism for LlDram {
         "lldram"
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        fasthash::codec::put_u64(out, self.activates);
-        true
+    state_hooks!();
+}
+
+impl_state!(Baseline { activates });
+
+/// The HCRAC instances and invalidators (configuration-sized), the
+/// sweep and invalidation catch-up cycles, and the counters.
+impl State for ChargeCache {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(out, &self.caches);
+        put_slice(out, &self.invalidators);
+        for v in [
+            self.next_sweep,
+            self.next_fire_min,
+            self.activates,
+            self.reduced_activates,
+            self.clamped_activates,
+        ] {
+            v.put(out);
+        }
     }
 
-    fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        self.activates = fasthash::codec::take_u64(input, "lldram activates")?;
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        load_slice(input, &mut self.caches, |n, have| {
+            format!("hcrac instance mismatch: checkpoint has {n}, mechanism has {have}")
+        })?;
+        load_slice(input, &mut self.invalidators, |n, have| {
+            format!("invalidator count mismatch: checkpoint has {n}, mechanism has {have}")
+        })?;
+        for v in [
+            &mut self.next_sweep,
+            &mut self.next_fire_min,
+            &mut self.activates,
+            &mut self.reduced_activates,
+            &mut self.clamped_activates,
+        ] {
+            v.load(input)?;
+        }
         Ok(())
     }
 }
+
+impl_state!(Nuat {
+    activates,
+    reduced_activates,
+    clamped_activates
+});
+
+impl_state!(CcNuat { cc, nuat });
+
+impl_state!(LlDram { activates });
 
 #[cfg(test)]
 mod tests {

@@ -16,6 +16,9 @@
 //! constants; derived metrics ([`MechanismReport::reduced_fraction`],
 //! [`MechanismReport::hcrac_hit_rate`]) read them by name.
 
+use fasthash::codec::State;
+use fasthash::impl_state;
+
 /// Total activations observed by the mechanism.
 pub const C_ACTIVATES: &str = "activates";
 /// Activations served with reduced timings.
@@ -134,32 +137,11 @@ impl MechanismReport {
         }
     }
 
-    /// Serializes the counter table (checkpoint support). First-report
-    /// order is part of the deterministic state, so it is preserved.
+    /// Serializes the counter table (checkpoint support) through its
+    /// [`State`] impl. First-report order is part of the deterministic
+    /// state, so it is preserved.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.counters.len());
-        for (name, value) in &self.counters {
-            put_str(out, name);
-            put_u64(out, *value);
-        }
-    }
-
-    /// Decodes a table saved by [`Self::save_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the truncation or encoding fault.
-    pub fn load_state(input: &mut &[u8]) -> Result<Self, String> {
-        use fasthash::codec::*;
-        let n = take_len(input, 16, "report counters")?;
-        let mut counters = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = take_str(input, "report counter name")?;
-            let value = take_u64(input, "report counter value")?;
-            counters.push((name, value));
-        }
-        Ok(Self { counters })
+        self.put(out);
     }
 
     /// Subtracts a warmup-boundary snapshot, element-wise by name.
@@ -177,6 +159,8 @@ impl MechanismReport {
         }
     }
 }
+
+impl_state!(MechanismReport { counters });
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,9 @@
 //! Shared last-level cache: set-associative, LRU, write-back,
 //! write-allocate (without fetch for stores).
 
+use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+use fasthash::impl_state;
+
 /// LLC configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LlcConfig {
@@ -261,64 +264,39 @@ impl Llc {
         }
         wb
     }
+}
 
-    /// Serializes the cache's complete mutable state (checkpoint support).
-    /// Geometry is not serialized — it is reconstructed from the config.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.lines.len());
-        for l in &self.lines {
-            put_u64(out, l.tag);
-            put_bool(out, l.valid);
-            put_bool(out, l.dirty);
-            put_u64(out, l.stamp);
-        }
-        put_u64(out, self.stamp);
-        for v in [
-            self.stats.read_accesses,
-            self.stats.read_hits,
-            self.stats.write_accesses,
-            self.stats.write_hits,
-            self.stats.fills,
-            self.stats.writebacks,
-        ] {
-            put_u64(out, v);
-        }
+impl_state!(Line {
+    tag,
+    valid,
+    dirty,
+    stamp
+});
+
+impl_state!(LlcStats {
+    read_accesses,
+    read_hits,
+    write_accesses,
+    write_hits,
+    fills,
+    writebacks
+});
+
+/// The cache's complete mutable state (checkpoint support). Geometry is
+/// not serialized — it is reconstructed from the config.
+impl State for Llc {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(out, &self.lines);
+        self.stamp.put(out);
+        self.stats.put(out);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a cache built
-    /// with the same configuration.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let n = take_len(input, 18, "llc lines")?;
-        if n != self.lines.len() {
-            return Err(format!(
-                "llc geometry mismatch: checkpoint has {n} lines, cache has {}",
-                self.lines.len()
-            ));
-        }
-        let mut lines = Vec::with_capacity(n);
-        for _ in 0..n {
-            lines.push(Line {
-                tag: take_u64(input, "line tag")?,
-                valid: take_bool(input, "line valid")?,
-                dirty: take_bool(input, "line dirty")?,
-                stamp: take_u64(input, "line stamp")?,
-            });
-        }
-        let stamp = take_u64(input, "llc stamp")?;
-        let stats = LlcStats {
-            read_accesses: take_u64(input, "read accesses")?,
-            read_hits: take_u64(input, "read hits")?,
-            write_accesses: take_u64(input, "write accesses")?,
-            write_hits: take_u64(input, "write hits")?,
-            fills: take_u64(input, "fills")?,
-            writebacks: take_u64(input, "writebacks")?,
-        };
-        self.lines = lines;
-        self.stamp = stamp;
-        self.stats = stats;
-        Ok(())
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        load_slice(input, &mut self.lines, |n, have| {
+            format!("llc geometry mismatch: checkpoint has {n} lines, cache has {have}")
+        })?;
+        self.stamp.load(input)?;
+        self.stats.load(input)
     }
 }
 

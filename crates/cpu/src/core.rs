@@ -11,6 +11,9 @@
 
 use std::collections::VecDeque;
 
+use fasthash::codec::{put_u8, take_tag, CodecResult, State};
+use fasthash::impl_state;
+
 use crate::trace::{MemOp, TraceSource};
 
 /// Identifier of an in-flight load within one core.
@@ -433,117 +436,85 @@ impl Core {
             self.window.push_back(Slot::Ready(n));
         }
     }
+}
 
-    /// Serializes the core's complete mutable state (checkpoint support).
-    /// The trace itself is not serialized — only the number of entries
-    /// consumed; [`Self::load_state`] replays them on a freshly built,
-    /// deterministic trace source.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.window.len());
-        for slot in &self.window {
-            match *slot {
-                Slot::Ready(n) => {
-                    put_u8(out, 0);
-                    put_u32(out, n);
-                }
-                Slot::Load { id, ready } => {
-                    put_u8(out, 1);
-                    put_u64(out, id);
-                    put_bool(out, ready);
-                }
-            }
-        }
-        put_usize(out, self.occupancy);
-        put_u32(out, self.nonmem_credit);
-        match self.pending_op {
-            None => put_u8(out, 0),
-            Some(MemOp::Load(a)) => {
-                put_u8(out, 1);
-                put_u64(out, a);
-            }
-            Some(MemOp::Store(a)) => {
-                put_u8(out, 2);
-                put_u64(out, a);
-            }
-        }
-        put_usize(out, self.hit_queue.len());
-        for &(at, id) in &self.hit_queue {
-            put_u64(out, at);
-            put_u64(out, id);
-        }
-        put_usize(out, self.outstanding);
-        put_u64(out, self.next_load_id);
-        put_bool(out, self.trace_done);
-        put_u64(out, self.trace_reads);
-        for v in [
-            self.stats.retired,
-            self.stats.cycles,
-            self.stats.loads,
-            self.stats.stores,
-            self.stats.stall_cycles,
-        ] {
-            put_u64(out, v);
+impl Default for Slot {
+    fn default() -> Self {
+        Slot::Ready(0)
+    }
+}
+
+impl State for Slot {
+    const MIN_BYTES: usize = 5;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            Slot::Ready(n) => (0u8, n).put(out),
+            Slot::Load { id, ready } => (1u8, (id, ready)).put(out),
         }
     }
 
-    /// Restores state saved by [`Self::save_state`] into a freshly
-    /// constructed core (same id, config and trace parameters). The trace
-    /// source is fast-forwarded by replaying the recorded number of reads.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let nslots = take_len(input, 2, "core window")?;
-        let mut window = VecDeque::with_capacity(nslots);
-        for _ in 0..nslots {
-            match take_u8(input, "window slot tag")? {
-                0 => window.push_back(Slot::Ready(take_u32(input, "ready run")?)),
-                1 => window.push_back(Slot::Load {
-                    id: take_u64(input, "load id")?,
-                    ready: take_bool(input, "load ready")?,
-                }),
-                t => return Err(format!("invalid window slot tag {t}")),
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        *self = match take_tag(input, 1, "window slot")? {
+            0 => Slot::Ready(u32::take(input)?),
+            _ => {
+                let (id, ready) = State::take(input)?;
+                Slot::Load { id, ready }
             }
+        };
+        Ok(())
+    }
+}
+
+impl_state!(CoreStats {
+    retired,
+    cycles,
+    loads,
+    stores,
+    stall_cycles
+});
+
+/// The core's complete mutable state (checkpoint support). The trace
+/// itself is not serialized — only the number of entries consumed;
+/// loading into a freshly built core replays that many reads on its
+/// deterministic trace source.
+impl State for Core {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.window.put(out);
+        self.occupancy.put(out);
+        self.nonmem_credit.put(out);
+        match self.pending_op {
+            None => put_u8(out, 0),
+            Some(MemOp::Load(a)) => (1u8, a).put(out),
+            Some(MemOp::Store(a)) => (2u8, a).put(out),
         }
-        let occupancy = take_usize(input, "occupancy")?;
-        let nonmem_credit = take_u32(input, "nonmem credit")?;
-        let pending_op = match take_u8(input, "pending op tag")? {
+        self.hit_queue.put(out);
+        self.outstanding.put(out);
+        self.next_load_id.put(out);
+        self.trace_done.put(out);
+        self.trace_reads.put(out);
+        self.stats.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        self.window.load(input)?;
+        self.occupancy.load(input)?;
+        self.nonmem_credit.load(input)?;
+        self.pending_op = match take_tag(input, 2, "pending op")? {
             0 => None,
-            1 => Some(MemOp::Load(take_u64(input, "pending load addr")?)),
-            2 => Some(MemOp::Store(take_u64(input, "pending store addr")?)),
-            t => return Err(format!("invalid pending op tag {t}")),
+            1 => Some(MemOp::Load(u64::take(input)?)),
+            _ => Some(MemOp::Store(u64::take(input)?)),
         };
-        let nhits = take_len(input, 16, "hit queue")?;
-        let mut hit_queue = VecDeque::with_capacity(nhits);
-        for _ in 0..nhits {
-            let at = take_u64(input, "hit cycle")?;
-            let id = take_u64(input, "hit load id")?;
-            hit_queue.push_back((at, id));
-        }
-        let outstanding = take_usize(input, "outstanding")?;
-        let next_load_id = take_u64(input, "next load id")?;
-        let trace_done = take_bool(input, "trace done")?;
-        let trace_reads = take_u64(input, "trace reads")?;
-        let stats = CoreStats {
-            retired: take_u64(input, "retired")?,
-            cycles: take_u64(input, "cycles")?,
-            loads: take_u64(input, "loads")?,
-            stores: take_u64(input, "stores")?,
-            stall_cycles: take_u64(input, "stall cycles")?,
-        };
+        self.hit_queue.load(input)?;
+        self.outstanding.load(input)?;
+        self.next_load_id.load(input)?;
+        self.trace_done.load(input)?;
+        self.trace_reads.load(input)?;
+        self.stats.load(input)?;
         // Fast-forward the fresh trace source to the recorded position.
-        for _ in 0..trace_reads {
+        for _ in 0..self.trace_reads {
             self.trace.next_entry();
         }
-        self.window = window;
-        self.occupancy = occupancy;
-        self.nonmem_credit = nonmem_credit;
-        self.pending_op = pending_op;
-        self.hit_queue = hit_queue;
-        self.outstanding = outstanding;
-        self.next_load_id = next_load_id;
-        self.trace_done = trace_done;
-        self.trace_reads = trace_reads;
-        self.stats = stats;
         Ok(())
     }
 }

@@ -10,7 +10,7 @@ use crate::command::{BankLoc, RowId};
 use crate::config::Organization;
 
 /// Fully decoded DRAM coordinates of one cache line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct DramAddress {
     /// Bank coordinates.
     pub loc: BankLoc,
@@ -19,6 +19,8 @@ pub struct DramAddress {
     /// Column at cache-line granularity.
     pub col: u32,
 }
+
+fasthash::impl_state!(DramAddress { loc, row, col });
 
 /// Field order of the sliced address, from least- to most-significant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

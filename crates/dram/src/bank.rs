@@ -1,5 +1,8 @@
 //! Per-bank state machine and timing registers.
 
+use fasthash::codec::{put_u8, take_tag, CodecResult, State};
+use fasthash::impl_state;
+
 use crate::command::RowId;
 use crate::timing::{ActTimings, TimingParams};
 use crate::BusCycle;
@@ -188,48 +191,36 @@ impl Bank {
         debug_assert!(self.is_precharged(), "REF with an active bank");
         self.next_act = self.next_act.max(now + BusCycle::from(lockout));
     }
+}
 
-    /// Serializes the bank's complete state (checkpoint support).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        match self.state {
+impl State for BankState {
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
             BankState::Precharged => put_u8(out, 0),
-            BankState::Active { row } => {
-                put_u8(out, 1);
-                put_u32(out, row);
-            }
+            BankState::Active { row } => (1u8, row).put(out),
         }
-        for v in [
-            self.next_act,
-            self.next_pre,
-            self.next_rd,
-            self.next_wr,
-            self.act_at,
-        ] {
-            put_u64(out, v);
-        }
-        put_u32(out, self.cur_tras);
     }
 
-    /// Restores state saved by [`Self::save_state`].
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        self.state = match take_u8(input, "bank state tag")? {
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        *self = match take_tag(input, 1, "bank state")? {
             0 => BankState::Precharged,
-            1 => BankState::Active {
-                row: take_u32(input, "open row")?,
+            _ => BankState::Active {
+                row: u32::take(input)?,
             },
-            t => return Err(format!("invalid bank state tag {t}")),
         };
-        self.next_act = take_u64(input, "bank next_act")?;
-        self.next_pre = take_u64(input, "bank next_pre")?;
-        self.next_rd = take_u64(input, "bank next_rd")?;
-        self.next_wr = take_u64(input, "bank next_wr")?;
-        self.act_at = take_u64(input, "bank act_at")?;
-        self.cur_tras = take_u32(input, "bank cur_tras")?;
         Ok(())
     }
 }
+
+impl_state!(Bank {
+    state,
+    next_act,
+    next_pre,
+    next_rd,
+    next_wr,
+    act_at,
+    cur_tras
+});
 
 impl Default for Bank {
     fn default() -> Self {

@@ -1,5 +1,7 @@
 //! Per-channel state: ranks plus the shared command/data buses.
 
+use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+
 use crate::command::Command;
 use crate::config::DramConfig;
 use crate::error::IssueError;
@@ -195,58 +197,6 @@ impl Channel {
         out
     }
 
-    /// Serializes the channel's mutable state (checkpoint support).
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.ranks.len());
-        for r in &self.ranks {
-            r.save_state(out);
-        }
-        put_u64(out, self.data_bus_busy_until);
-        match self.last_data_rank {
-            None => put_u8(out, 0),
-            Some(r) => {
-                put_u8(out, 1);
-                put_u8(out, r);
-            }
-        }
-        match self.last_cmd_at {
-            None => put_u8(out, 0),
-            Some(at) => {
-                put_u8(out, 1);
-                put_u64(out, at);
-            }
-        }
-    }
-
-    /// Restores state saved by [`Self::save_state`] into a channel built
-    /// with the same configuration.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let n = take_len(input, 8, "channel ranks")?;
-        if n != self.ranks.len() {
-            return Err(format!(
-                "rank count mismatch: checkpoint has {n}, channel has {}",
-                self.ranks.len()
-            ));
-        }
-        for r in &mut self.ranks {
-            r.load_state(input)?;
-        }
-        self.data_bus_busy_until = take_u64(input, "data bus busy")?;
-        self.last_data_rank = match take_u8(input, "last data rank tag")? {
-            0 => None,
-            1 => Some(take_u8(input, "last data rank")?),
-            t => return Err(format!("invalid last data rank tag {t}")),
-        };
-        self.last_cmd_at = match take_u8(input, "last cmd tag")? {
-            0 => None,
-            1 => Some(take_u64(input, "last cmd at")?),
-            t => return Err(format!("invalid last cmd tag {t}")),
-        };
-        Ok(())
-    }
-
     /// Earliest issue cycle such that a burst with the given CAS latency
     /// does not collide with the previous burst on the data bus.
     fn data_bus_ready(&self, rank: u8, at: BusCycle, t: &TimingParams, cas: u32) -> BusCycle {
@@ -262,6 +212,25 @@ impl Channel {
         } else {
             free - BusCycle::from(cas)
         }
+    }
+}
+
+/// The channel's mutable state (checkpoint support).
+impl State for Channel {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(out, &self.ranks);
+        self.data_bus_busy_until.put(out);
+        self.last_data_rank.put(out);
+        self.last_cmd_at.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        load_slice(input, &mut self.ranks, |n, have| {
+            format!("rank count mismatch: checkpoint has {n}, channel has {have}")
+        })?;
+        self.data_bus_busy_until.load(input)?;
+        self.last_data_rank.load(input)?;
+        self.last_cmd_at.load(input)
     }
 }
 

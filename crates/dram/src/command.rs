@@ -1,10 +1,13 @@
 //! DRAM commands and addressing coordinates.
 
+use fasthash::codec::{put_u8, take_tag, CodecResult, State};
+use fasthash::impl_state;
+
 /// A DRAM row index within a bank.
 pub type RowId = u32;
 
 /// Coordinates of one bank in the memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BankLoc {
     /// Channel index.
     pub channel: u8,
@@ -100,9 +103,11 @@ pub enum Command {
 }
 
 /// Discriminant of [`Command`], used for statistics and energy accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Its checkpoint tag is the declaration index.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CommandKind {
     /// Row activation.
+    #[default]
     Act,
     /// Single-bank precharge.
     Pre,
@@ -119,6 +124,37 @@ pub enum CommandKind {
     /// Auto-refresh.
     Ref,
 }
+
+impl CommandKind {
+    /// Every kind, in declaration (tag) order.
+    const ALL: [CommandKind; 8] = [
+        CommandKind::Act,
+        CommandKind::Pre,
+        CommandKind::PreAll,
+        CommandKind::Rd,
+        CommandKind::RdA,
+        CommandKind::Wr,
+        CommandKind::WrA,
+        CommandKind::Ref,
+    ];
+}
+
+impl State for CommandKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, *self as u8);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        *self = Self::ALL[usize::from(take_tag(input, 7, "command kind")?)];
+        Ok(())
+    }
+}
+
+impl_state!(BankLoc {
+    channel,
+    rank,
+    bank
+});
 
 impl Command {
     /// Convenience constructor for `ACT`.

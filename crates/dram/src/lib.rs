@@ -45,6 +45,9 @@
 
 #![warn(missing_docs)]
 
+use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+use fasthash::impl_state;
+
 pub mod address;
 pub mod bank;
 pub mod channel;
@@ -100,7 +103,7 @@ pub struct IssueOutcome {
 }
 
 /// A timestamped command, recorded for energy accounting and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Issue cycle.
     pub at: BusCycle,
@@ -254,113 +257,41 @@ impl DramDevice {
             None => r.all_banks_precharged(),
         }
     }
-
-    /// Serializes the device's complete mutable state — bank/rank/channel
-    /// timing registers, refresh calendars, statistics and the command
-    /// log — for checkpoint support.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.channels.len());
-        for ch in &self.channels {
-            ch.save_state(out);
-        }
-        for v in [
-            self.stats.acts,
-            self.stats.pres,
-            self.stats.pre_alls,
-            self.stats.reads,
-            self.stats.writes,
-            self.stats.refs,
-        ] {
-            put_u64(out, v);
-        }
-        match &self.log {
-            None => put_u8(out, 0),
-            Some(log) => {
-                put_u8(out, 1);
-                put_usize(out, log.len());
-                for rec in log {
-                    put_u64(out, rec.at);
-                    put_u8(out, command_kind_tag(rec.kind));
-                    put_u8(out, rec.channel);
-                    put_u8(out, rec.rank);
-                }
-            }
-        }
-    }
-
-    /// Restores state saved by [`Self::save_state`] into a device built
-    /// with the same configuration.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let n = take_len(input, 8, "device channels")?;
-        if n != self.channels.len() {
-            return Err(format!(
-                "channel count mismatch: checkpoint has {n}, device has {}",
-                self.channels.len()
-            ));
-        }
-        for ch in &mut self.channels {
-            ch.load_state(input)?;
-        }
-        self.stats = DeviceStats {
-            acts: take_u64(input, "acts")?,
-            pres: take_u64(input, "pres")?,
-            pre_alls: take_u64(input, "pre_alls")?,
-            reads: take_u64(input, "reads")?,
-            writes: take_u64(input, "writes")?,
-            refs: take_u64(input, "refs")?,
-        };
-        self.log = match take_u8(input, "log tag")? {
-            0 => None,
-            1 => {
-                let len = take_len(input, 11, "command log")?;
-                let mut log = Vec::with_capacity(len);
-                for _ in 0..len {
-                    let at = take_u64(input, "log cycle")?;
-                    let kind = command_kind_from_tag(take_u8(input, "log kind")?)?;
-                    let channel = take_u8(input, "log channel")?;
-                    let rank = take_u8(input, "log rank")?;
-                    log.push(CommandRecord {
-                        at,
-                        kind,
-                        channel,
-                        rank,
-                    });
-                }
-                Some(log)
-            }
-            t => return Err(format!("invalid log tag {t}")),
-        };
-        Ok(())
-    }
 }
 
-fn command_kind_tag(kind: CommandKind) -> u8 {
-    match kind {
-        CommandKind::Act => 0,
-        CommandKind::Pre => 1,
-        CommandKind::PreAll => 2,
-        CommandKind::Rd => 3,
-        CommandKind::RdA => 4,
-        CommandKind::Wr => 5,
-        CommandKind::WrA => 6,
-        CommandKind::Ref => 7,
-    }
-}
+impl_state!(DeviceStats {
+    acts,
+    pres,
+    pre_alls,
+    reads,
+    writes,
+    refs
+});
 
-fn command_kind_from_tag(tag: u8) -> Result<CommandKind, String> {
-    Ok(match tag {
-        0 => CommandKind::Act,
-        1 => CommandKind::Pre,
-        2 => CommandKind::PreAll,
-        3 => CommandKind::Rd,
-        4 => CommandKind::RdA,
-        5 => CommandKind::Wr,
-        6 => CommandKind::WrA,
-        7 => CommandKind::Ref,
-        t => return Err(format!("invalid command kind tag {t}")),
-    })
+impl_state!(CommandRecord {
+    at,
+    kind,
+    channel,
+    rank
+});
+
+/// The device's complete mutable state — bank/rank/channel timing
+/// registers, refresh calendars, statistics and the command log — for
+/// checkpoint support.
+impl State for DramDevice {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(out, &self.channels);
+        self.stats.put(out);
+        self.log.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        load_slice(input, &mut self.channels, |n, have| {
+            format!("channel count mismatch: checkpoint has {n}, device has {have}")
+        })?;
+        self.stats.load(input)?;
+        self.log.load(input)
+    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,8 @@
 
 use std::collections::VecDeque;
 
+use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+
 use crate::bank::Bank;
 use crate::command::RowId;
 use crate::config::DramConfig;
@@ -295,85 +297,50 @@ impl Rank {
     pub fn refs_issued(&self) -> u64 {
         self.refresh.iter().map(RefreshState::issued).sum()
     }
+}
 
-    /// Serializes the rank's mutable state (checkpoint support).
-    /// Configuration-derived fields (bank count, groups, refresh mode)
-    /// are reconstructed, not serialized.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.banks.len());
-        for b in &self.banks {
-            b.save_state(out);
-        }
-        for v in [self.next_act, self.next_rd, self.next_wr] {
-            put_u64(out, v);
-        }
-        for gates in [&self.next_act_same, &self.next_rd_same, &self.next_wr_same] {
-            put_usize(out, gates.len());
-            for &g in gates {
-                put_u64(out, g);
-            }
-        }
-        put_usize(out, self.act_window.len());
-        for &a in &self.act_window {
-            put_u64(out, a);
-        }
-        put_usize(out, self.refresh.len());
-        for r in &self.refresh {
-            r.save_state(out);
-        }
+/// The rank's mutable state (checkpoint support). Configuration-derived
+/// fields (bank count, groups, refresh mode) are reconstructed, not
+/// serialized.
+impl State for Rank {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(out, &self.banks);
+        self.next_act.put(out);
+        self.next_rd.put(out);
+        self.next_wr.put(out);
+        self.next_act_same.put(out);
+        self.next_rd_same.put(out);
+        self.next_wr_same.put(out);
+        self.act_window.put(out);
+        put_slice(out, &self.refresh);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a rank built with
-    /// the same configuration.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let nbanks = take_len(input, 8, "rank banks")?;
-        if nbanks != self.banks.len() {
-            return Err(format!(
-                "bank count mismatch: checkpoint has {nbanks}, rank has {}",
-                self.banks.len()
-            ));
-        }
-        for b in &mut self.banks {
-            b.load_state(input)?;
-        }
-        self.next_act = take_u64(input, "rank next_act")?;
-        self.next_rd = take_u64(input, "rank next_rd")?;
-        self.next_wr = take_u64(input, "rank next_wr")?;
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        load_slice(input, &mut self.banks, |n, have| {
+            format!("bank count mismatch: checkpoint has {n}, rank has {have}")
+        })?;
+        self.next_act.load(input)?;
+        self.next_rd.load(input)?;
+        self.next_wr.load(input)?;
         for (gates, what) in [
             (&mut self.next_act_same, "act group gates"),
             (&mut self.next_rd_same, "rd group gates"),
             (&mut self.next_wr_same, "wr group gates"),
         ] {
-            let n = take_len(input, 8, what)?;
-            if n != gates.len() {
-                return Err(format!("group count mismatch reading {what}"));
-            }
-            for g in gates.iter_mut() {
-                *g = take_u64(input, what)?;
-            }
+            load_slice(input, gates, |_, _| {
+                format!("group count mismatch reading {what}")
+            })?;
         }
-        let nacts = take_len(input, 8, "act window")?;
-        if nacts > 4 {
-            return Err(format!("implausible act window length {nacts}"));
-        }
-        self.act_window.clear();
-        for _ in 0..nacts {
-            self.act_window
-                .push_back(take_u64(input, "act window entry")?);
-        }
-        let nref = take_len(input, 8, "refresh schedules")?;
-        if nref != self.refresh.len() {
+        self.act_window.load(input)?;
+        if self.act_window.len() > 4 {
             return Err(format!(
-                "refresh schedule count mismatch: checkpoint has {nref}, rank has {}",
-                self.refresh.len()
+                "implausible act window length {}",
+                self.act_window.len()
             ));
         }
-        for r in &mut self.refresh {
-            r.load_state(input)?;
-        }
-        Ok(())
+        load_slice(input, &mut self.refresh, |n, have| {
+            format!("refresh schedule count mismatch: checkpoint has {n}, rank has {have}")
+        })
     }
 }
 

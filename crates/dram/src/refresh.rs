@@ -21,6 +21,8 @@
 //! simulated time, grossly inflating the "recently refreshed" fraction
 //! that Figure 3 and NUAT depend on.
 
+use fasthash::codec::{load_slice, CodecResult, State};
+
 use crate::command::RowId;
 use crate::BusCycle;
 
@@ -163,41 +165,25 @@ impl RefreshState {
         let last = self.last_refresh[self.bin_of(row) as usize];
         (now as i64 - last).max(0) as BusCycle
     }
+}
 
-    /// Serializes the schedule's mutable state (checkpoint support). The
-    /// visit order is reconstructed from the fixed seed, not serialized.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_u32(out, self.next_pos);
-        put_usize(out, self.last_refresh.len());
-        for &t in &self.last_refresh {
-            put_i64(out, t);
-        }
-        put_u64(out, self.due_at);
-        put_u64(out, self.issued);
+/// The schedule's mutable state (checkpoint support). The visit order is
+/// reconstructed from the fixed seed, not serialized.
+impl State for RefreshState {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.next_pos.put(out);
+        self.last_refresh.put(out);
+        self.due_at.put(out);
+        self.issued.put(out);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a schedule built
-    /// with the same geometry.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let next_pos = take_u32(input, "refresh next_pos")?;
-        let n = take_len(input, 8, "refresh bins")?;
-        if n != self.last_refresh.len() {
-            return Err(format!(
-                "refresh bin mismatch: checkpoint has {n}, schedule has {}",
-                self.last_refresh.len()
-            ));
-        }
-        let mut last_refresh = Vec::with_capacity(n);
-        for _ in 0..n {
-            last_refresh.push(take_i64(input, "bin refresh time")?);
-        }
-        self.next_pos = next_pos;
-        self.last_refresh = last_refresh;
-        self.due_at = take_u64(input, "refresh due_at")?;
-        self.issued = take_u64(input, "refresh issued")?;
-        Ok(())
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        self.next_pos.load(input)?;
+        load_slice(input, &mut self.last_refresh, |n, have| {
+            format!("refresh bin mismatch: checkpoint has {n}, schedule has {have}")
+        })?;
+        self.due_at.load(input)?;
+        self.issued.load(input)
     }
 }
 

@@ -35,8 +35,11 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use chargecache::{LatencyMechanism, RowKey};
-use dram::{BankLoc, BusCycle, Command, DramAddress, DramConfig, DramDevice, RankLoc, RowId};
-use fasthash::FastHashMap;
+use dram::{BankLoc, BusCycle, Command, DramConfig, DramDevice, RankLoc, RowId};
+use fasthash::codec::{
+    load_slice, put_slice, put_usize, take_bytes, take_usize, CodecResult, State,
+};
+use fasthash::{impl_state, FastHashMap};
 
 use crate::config::{CtrlConfig, RowPolicy, SchedPolicy};
 use crate::request::{AccessKind, Completion, Pending, Progress, Queued};
@@ -65,7 +68,7 @@ fn line_key(p: &Pending) -> (RowKey, u32) {
 /// order, with the enqueue sequence breaking ties exactly like the former
 /// insertion-ordered scan — completion order is part of the simulator's
 /// determinism contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Inflight {
     at: BusCycle,
     seq: u64,
@@ -83,6 +86,8 @@ impl PartialOrd for Inflight {
         Some(self.cmp(other))
     }
 }
+
+impl_state!(Inflight { at, seq, p });
 
 /// One bank's share of a request queue: entries in global age order plus
 /// the row-keyed hit lists.
@@ -173,6 +178,27 @@ impl BankBucket {
             .iter_mut()
             .find(|&&mut (s, _)| s == seq)
             .map(|(_, q)| q)
+    }
+}
+
+/// A bucket travels as its age-ordered entries; the row index is
+/// rebuilt on load.
+impl State for BankBucket {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.entries.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        let entries = VecDeque::<(u64, Queued)>::take(input)?;
+        self.entries.clear();
+        self.by_row.clear();
+        for (seq, q) in entries {
+            if self.entries.back().is_some_and(|&(s, _)| s >= seq) {
+                return Err("bucket entries out of age order".to_string());
+            }
+            self.insert(seq, q);
+        }
+        Ok(())
     }
 }
 
@@ -1025,84 +1051,59 @@ impl ChannelCtrl {
         }
     }
 
-    /// Serializes the controller's complete mutable state (checkpoint
-    /// support). Returns `false` — leaving `out` untouched — when the
-    /// latency mechanism does not support checkpointing.
-    ///
-    /// Derived indices (`by_row`, the queue length totals, `wq_lines`)
-    /// are rebuilt on load from the serialized queue entries, and the
-    /// in-flight heap is written in `(at, seq)` order, so the byte
-    /// stream is a pure function of the logical scheduler state.
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use fasthash::codec::*;
-        let mut mech_buf = Vec::new();
-        if !self.mech.save_state(&mut mech_buf) {
-            return false;
-        }
-        for banks in [&self.read_banks, &self.write_banks] {
-            put_usize(out, banks.len());
-            for bucket in banks {
-                put_usize(out, bucket.entries.len());
-                for &(seq, q) in &bucket.entries {
-                    put_u64(out, seq);
-                    put_queued(out, &q);
-                }
-            }
-        }
-        put_u64(out, self.age_seq);
+    /// True when the mechanism supports checkpointing (its
+    /// `save_state` hook succeeds).
+    pub(crate) fn checkpointable(&self) -> bool {
+        self.mech.save_state(&mut Vec::new())
+    }
+}
+
+/// The controller's complete mutable state (checkpoint support); only
+/// valid when [`ChannelCtrl::checkpointable`] holds. The mechanism's
+/// state travels as a length-prefixed byte run.
+///
+/// Derived indices (`by_row`, the queue length totals, `wq_lines`) are
+/// rebuilt on load from the serialized queue entries, and the in-flight
+/// heap is written in `(at, seq)` order, so the byte stream is a pure
+/// function of the logical scheduler state.
+impl State for ChannelCtrl {
+    fn put(&self, out: &mut Vec<u8>) {
+        let mut mech = Vec::new();
+        let supported = self.mech.save_state(&mut mech);
+        debug_assert!(supported, "checkpoint of a mechanism without state capture");
+        put_slice(out, &self.read_banks);
+        put_slice(out, &self.write_banks);
+        self.age_seq.put(out);
         let mut flights: Vec<Inflight> = self.inflight.iter().map(|r| r.0).collect();
         flights.sort_unstable();
-        put_usize(out, flights.len());
-        for f in flights {
-            put_u64(out, f.at);
-            put_u64(out, f.seq);
-            put_pending(out, &f.p);
+        flights.put(out);
+        self.inflight_seq.put(out);
+        self.next_try.put(out);
+        put_slice(out, &self.bank_ready);
+        self.draining.put(out);
+        for c in &self.opened_by {
+            c.put(out);
         }
-        put_u64(out, self.inflight_seq);
-        put_u64(out, self.next_try);
-        put_usize(out, self.bank_ready.len());
-        for &b in &self.bank_ready {
-            put_u64(out, b);
+        for p in &self.refresh_pending {
+            p.put(out);
         }
-        put_bool(out, self.draining);
-        for &c in &self.opened_by {
-            put_usize(out, c);
-        }
-        for &p in &self.refresh_pending {
-            put_bool(out, p);
-        }
-        put_usize(out, mech_buf.len());
-        out.extend_from_slice(&mech_buf);
-        self.rltl.save_state(out);
-        self.reuse.save_state(out);
-        self.stats.save_state(out);
-        true
+        put_usize(out, mech.len());
+        out.extend_from_slice(&mech);
+        self.rltl.put(out);
+        self.reuse.put(out);
+        self.stats.put(out);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a controller
-    /// built with the same configuration and mechanism. On error the
-    /// controller may be partially updated; callers discard it.
-    pub(crate) fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let mut queues: Vec<Vec<BankBucket>> = Vec::with_capacity(2);
-        let mut lens = [0usize; 2];
-        for (ki, kind) in [AccessKind::Read, AccessKind::Write]
-            .into_iter()
-            .enumerate()
-        {
-            let n = take_len(input, 8, "bank bucket count")?;
-            if n != self.bank_ready.len() {
-                return Err(format!(
-                    "bank count mismatch: checkpoint has {n}, controller has {}",
-                    self.bank_ready.len()
-                ));
-            }
-            let mut banks: Vec<BankBucket> = (0..n).map(|_| BankBucket::default()).collect();
-            for (bank, bucket) in banks.iter_mut().enumerate() {
-                let m = take_len(input, 16, "bucket entries")?;
-                for _ in 0..m {
-                    let seq = take_u64(input, "entry seq")?;
-                    let q = take_queued(input)?;
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        for (kind, banks) in [
+            (AccessKind::Read, &mut self.read_banks),
+            (AccessKind::Write, &mut self.write_banks),
+        ] {
+            load_slice(input, banks, |n, have| {
+                format!("bank count mismatch: checkpoint has {n}, controller has {have}")
+            })?;
+            for (bank, bucket) in banks.iter().enumerate() {
+                for (_, q) in &bucket.entries {
                     if q.p.kind != kind {
                         return Err("queued request kind does not match its queue".to_string());
                     }
@@ -1111,161 +1112,49 @@ impl ChannelCtrl {
                     {
                         return Err("queued request filed under the wrong bank".to_string());
                     }
-                    if bucket.entries.back().is_some_and(|&(s, _)| s >= seq) {
-                        return Err("bucket entries out of age order".to_string());
-                    }
-                    bucket.insert(seq, q);
-                    lens[ki] += 1;
                 }
             }
-            queues.push(banks);
         }
-        let age_seq = take_u64(input, "age seq")?;
-        let nf = take_len(input, 17, "inflight reads")?;
-        let mut inflight = BinaryHeap::with_capacity(nf);
-        for _ in 0..nf {
-            let at = take_u64(input, "inflight deadline")?;
-            let seq = take_u64(input, "inflight seq")?;
-            let p = take_pending(input)?;
-            inflight.push(Reverse(Inflight { at, seq, p }));
+        self.age_seq.load(input)?;
+        self.inflight = Vec::<Inflight>::take(input)?
+            .into_iter()
+            .map(Reverse)
+            .collect();
+        self.inflight_seq.load(input)?;
+        self.next_try.load(input)?;
+        load_slice(input, &mut self.bank_ready, |n, have| {
+            format!("bank-ready count mismatch: checkpoint has {n}, controller has {have}")
+        })?;
+        self.draining.load(input)?;
+        for c in &mut self.opened_by {
+            c.load(input)?;
         }
-        let inflight_seq = take_u64(input, "inflight seq counter")?;
-        let next_try = take_u64(input, "next_try")?;
-        let nb = take_len(input, 8, "bank ready slots")?;
-        if nb != self.bank_ready.len() {
-            return Err(format!(
-                "bank-ready count mismatch: checkpoint has {nb}, controller has {}",
-                self.bank_ready.len()
-            ));
+        for p in &mut self.refresh_pending {
+            p.load(input)?;
         }
-        let mut bank_ready = vec![0; nb];
-        for b in bank_ready.iter_mut() {
-            *b = take_u64(input, "bank ready")?;
-        }
-        let draining = take_bool(input, "draining latch")?;
-        let mut opened_by = vec![0usize; self.opened_by.len()];
-        for c in opened_by.iter_mut() {
-            *c = take_usize(input, "opened_by core")?;
-        }
-        let mut refresh_pending = vec![false; self.refresh_pending.len()];
-        for p in refresh_pending.iter_mut() {
-            *p = take_bool(input, "refresh pending flag")?;
-        }
-        let mlen = take_len(input, 1, "mechanism state")?;
-        if input.len() < mlen {
-            return Err("checkpoint truncated reading mechanism state".to_string());
-        }
-        let (mech_bytes, rest) = input.split_at(mlen);
-        let mut cur = mech_bytes;
-        self.mech.load_state(&mut cur)?;
-        if !cur.is_empty() {
+        let mlen = take_usize(input, "mechanism state")?;
+        let mut mech = take_bytes(input, mlen, "mechanism state")?;
+        self.mech.load_state(&mut mech)?;
+        if !mech.is_empty() {
             return Err("mechanism state has trailing bytes".to_string());
         }
-        *input = rest;
-        self.rltl.load_state(input)?;
-        self.reuse.load_state(input)?;
-        self.stats = CtrlStats::load_state(input)?;
+        self.rltl.load(input)?;
+        self.reuse.load(input)?;
+        self.stats.load(input)?;
 
-        // Rebuild the write-forwarding index from the restored write
-        // queue; everything decoded, commit the rest.
-        let mut wq_lines = FastHashMap::default();
-        for bucket in &queues[1] {
+        // Rebuild the queue totals and the write-forwarding index from
+        // the restored queues.
+        let count = |banks: &[BankBucket]| banks.iter().map(|b| b.entries.len()).sum();
+        self.read_len = count(&self.read_banks);
+        self.write_len = count(&self.write_banks);
+        self.wq_lines.clear();
+        for bucket in &self.write_banks {
             for (_, q) in &bucket.entries {
-                *wq_lines.entry(line_key(&q.p)).or_insert(0u32) += 1;
+                *self.wq_lines.entry(line_key(&q.p)).or_insert(0u32) += 1;
             }
         }
-        self.write_banks = queues.pop().expect("two queues decoded");
-        self.read_banks = queues.pop().expect("two queues decoded");
-        self.read_len = lens[0];
-        self.write_len = lens[1];
-        self.age_seq = age_seq;
-        self.wq_lines = wq_lines;
-        self.inflight = inflight;
-        self.inflight_seq = inflight_seq;
-        self.next_try = next_try;
-        self.bank_ready = bank_ready;
-        self.draining = draining;
-        self.opened_by = opened_by;
-        self.refresh_pending = refresh_pending;
         Ok(())
     }
-}
-
-/// Serializes one queued/in-flight request (checkpoint support).
-fn put_pending(out: &mut Vec<u8>, p: &Pending) {
-    use fasthash::codec::*;
-    put_u64(out, p.id);
-    put_usize(out, p.core);
-    put_u8(out, p.addr.loc.channel);
-    put_u8(out, p.addr.loc.rank);
-    put_u8(out, p.addr.loc.bank);
-    put_u32(out, p.addr.row);
-    put_u32(out, p.addr.col);
-    put_u64(out, p.arrived);
-    put_u8(
-        out,
-        match p.kind {
-            AccessKind::Read => 0,
-            AccessKind::Write => 1,
-        },
-    );
-}
-
-fn take_pending(input: &mut &[u8]) -> Result<Pending, String> {
-    use fasthash::codec::*;
-    let id = take_u64(input, "request id")?;
-    let core = take_usize(input, "request core")?;
-    let channel = take_u8(input, "request channel")?;
-    let rank = take_u8(input, "request rank")?;
-    let bank = take_u8(input, "request bank")?;
-    let row = take_u32(input, "request row")?;
-    let col = take_u32(input, "request column")?;
-    let arrived = take_u64(input, "request arrival")?;
-    let kind = match take_u8(input, "request kind")? {
-        0 => AccessKind::Read,
-        1 => AccessKind::Write,
-        k => return Err(format!("unknown access kind tag {k}")),
-    };
-    Ok(Pending {
-        id,
-        core,
-        addr: DramAddress {
-            loc: BankLoc {
-                channel,
-                rank,
-                bank,
-            },
-            row,
-            col,
-        },
-        arrived,
-        kind,
-    })
-}
-
-fn put_queued(out: &mut Vec<u8>, q: &Queued) {
-    use fasthash::codec::*;
-    put_pending(out, &q.p);
-    put_u8(
-        out,
-        match q.progress {
-            Progress::Fresh => 0,
-            Progress::PreIssued => 1,
-            Progress::ActIssued => 2,
-        },
-    );
-}
-
-fn take_queued(input: &mut &[u8]) -> Result<Queued, String> {
-    use fasthash::codec::*;
-    let p = take_pending(input)?;
-    let progress = match take_u8(input, "request progress")? {
-        0 => Progress::Fresh,
-        1 => Progress::PreIssued,
-        2 => Progress::ActIssued,
-        t => return Err(format!("unknown progress tag {t}")),
-    };
-    Ok(Queued { p, progress })
 }
 
 /// Builds the RD/WR command for a queued request; `auto_pre` per the

@@ -53,6 +53,7 @@ use chargecache::{
 };
 use controller::ChannelCtrl;
 use dram::{AddressMapper, BusCycle, DramConfig, DramDevice};
+use fasthash::codec::{load_slice, put_slice, CodecResult, State};
 
 use crate::request::Pending;
 
@@ -277,43 +278,30 @@ impl MemorySystem {
         agg
     }
 
-    /// Serializes the complete memory-system state — request-id counter,
-    /// every channel controller (queues, calendars, mechanism, trackers)
-    /// and the DRAM device — for checkpointing. Returns `false`, leaving
-    /// `out` untouched, when any channel's mechanism does not support
-    /// checkpoint save/restore.
-    pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use fasthash::codec::*;
-        let mut body = Vec::new();
-        put_u64(&mut body, self.next_id);
-        put_usize(&mut body, self.channels.len());
-        for ch in &self.channels {
-            if !ch.save_state(&mut body) {
-                return false;
-            }
-        }
-        self.device.save_state(&mut body);
-        out.extend_from_slice(&body);
-        true
+    /// True when every channel's mechanism supports checkpoint
+    /// save/restore, i.e. when the [`State`] encoding is available.
+    pub fn checkpointable(&self) -> bool {
+        self.channels.iter().all(ChannelCtrl::checkpointable)
+    }
+}
+
+/// The complete memory-system state — request-id counter, every channel
+/// controller (queues, calendars, mechanism, trackers) and the DRAM
+/// device — for checkpointing. Encode only when
+/// [`MemorySystem::checkpointable`] holds.
+impl State for MemorySystem {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.next_id.put(out);
+        put_slice(out, &self.channels);
+        self.device.put(out);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a system built
-    /// with the same configuration and mechanism. On error the system may
-    /// be partially updated; callers discard it.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        self.next_id = take_u64(input, "request id counter")?;
-        let n = take_len(input, 1, "channel count")?;
-        if n != self.channels.len() {
-            return Err(format!(
-                "channel count mismatch: checkpoint has {n}, system has {}",
-                self.channels.len()
-            ));
-        }
-        for ch in &mut self.channels {
-            ch.load_state(input)?;
-        }
-        self.device.load_state(input)
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        self.next_id.load(input)?;
+        load_slice(input, &mut self.channels, |n, have| {
+            format!("channel count mismatch: checkpoint has {n}, system has {have}")
+        })?;
+        self.device.load(input)
     }
 }
 

@@ -17,6 +17,7 @@
 //! scan that dominated simulator time on low-locality workloads.
 
 use chargecache::RowKey;
+use fasthash::codec::{load_slice, put_slice, put_sorted_map, CodecResult, State};
 use fasthash::FastHashMap;
 
 /// Power-of-two reuse-distance histogram.
@@ -263,75 +264,53 @@ impl RowReuseTracker {
         }
     }
 
-    /// Serializes the tracker's mutable state (checkpoint support).
-    ///
-    /// Only the row → latest-slot map and the histogram counters are
-    /// written: the Fenwick marks are exactly the latest slots, and stale
-    /// `slot_row` entries are never consulted (compaction checks
-    /// `last_slot` before trusting a slot), so both are rebuilt on load.
-    /// The map is written sorted by key for a deterministic stream.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        let mut items: Vec<(RowKey, usize)> =
-            self.last_slot.iter().map(|(&k, &v)| (k, v)).collect();
-        items.sort_unstable();
-        put_usize(out, items.len());
-        for (k, slot) in items {
-            put_u64(out, k.raw());
-            put_usize(out, slot);
+    /// Merges another tracker's histogram (stacks are not merged).
+    pub fn absorb(&mut self, other: &RowReuseTracker) {
+        assert_eq!(self.counts.len(), other.counts.len());
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            *a += b;
         }
-        put_usize(out, self.next_slot);
-        put_usize(out, self.counts.len());
-        for &c in &self.counts {
-            put_u64(out, c);
-        }
-        put_u64(out, self.cold_or_beyond);
-        put_u64(out, self.activations);
+        self.cold_or_beyond += other.cold_or_beyond;
+        self.activations += other.activations;
+    }
+}
+
+/// The tracker's mutable state (checkpoint support).
+///
+/// Only the row → latest-slot map and the histogram counters are
+/// written: the Fenwick marks are exactly the latest slots, and stale
+/// `slot_row` entries are never consulted (compaction checks `last_slot`
+/// before trusting a slot), so both are rebuilt on load.
+impl State for RowReuseTracker {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_sorted_map(out, &self.last_slot);
+        self.next_slot.put(out);
+        put_slice(out, &self.counts);
+        self.cold_or_beyond.put(out);
+        self.activations.put(out);
     }
 
-    /// Restores state saved by [`Self::save_state`] into a tracker built
-    /// with the same depth.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let rows = take_len(input, 16, "reuse rows")?;
-        let mut items = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let k = take_u64(input, "reuse row key")?;
-            let slot = take_usize(input, "reuse slot")?;
-            items.push((k, slot));
-        }
-        let next_slot = take_usize(input, "reuse next_slot")?;
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        // The map's sorted pairs, kept as a list so duplicates show.
+        let items = Vec::<(RowKey, usize)>::take(input)?;
+        let next_slot = usize::take(input)?;
         let capacity = self.bit.capacity();
         if next_slot == 0 || next_slot > capacity + 1 {
             return Err(format!("reuse next_slot {next_slot} out of range"));
         }
-        let buckets = take_len(input, 8, "reuse buckets")?;
-        if buckets != self.counts.len() {
-            return Err(format!(
-                "reuse bucket mismatch: checkpoint has {buckets}, tracker has {}",
-                self.counts.len()
-            ));
-        }
-        let mut counts = vec![0u64; buckets];
-        for c in counts.iter_mut() {
-            *c = take_u64(input, "reuse count")?;
-        }
-        let cold_or_beyond = take_u64(input, "reuse cold")?;
-        let activations = take_u64(input, "reuse activations")?;
+        load_slice(input, &mut self.counts, |n, have| {
+            format!("reuse bucket mismatch: checkpoint has {n}, tracker has {have}")
+        })?;
+        self.cold_or_beyond.load(input)?;
+        self.activations.load(input)?;
 
         let mut last_slot = FastHashMap::default();
         let mut slot_row = vec![RowKey::new(0, 0, 0, 0); capacity + 1];
         let mut bit = Fenwick::new(capacity);
-        for (raw, slot) in items {
+        for (key, slot) in items {
             if slot == 0 || slot >= next_slot {
                 return Err(format!("reuse slot {slot} out of range"));
             }
-            let key = RowKey::new(
-                (raw >> 48) as u8,
-                (raw >> 40) as u8,
-                (raw >> 32) as u8,
-                raw as u32,
-            );
             if last_slot.insert(key, slot).is_some() {
                 return Err("reuse row listed twice".to_string());
             }
@@ -345,20 +324,7 @@ impl RowReuseTracker {
         self.slot_row = slot_row;
         self.bit = bit;
         self.next_slot = next_slot;
-        self.counts = counts;
-        self.cold_or_beyond = cold_or_beyond;
-        self.activations = activations;
         Ok(())
-    }
-
-    /// Merges another tracker's histogram (stacks are not merged).
-    pub fn absorb(&mut self, other: &RowReuseTracker) {
-        assert_eq!(self.counts.len(), other.counts.len());
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.cold_or_beyond += other.cold_or_beyond;
-        self.activations += other.activations;
     }
 }
 

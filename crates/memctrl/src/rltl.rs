@@ -8,6 +8,7 @@
 
 use chargecache::RowKey;
 use dram::BusCycle;
+use fasthash::codec::{load_map, load_slice, put_slice, put_sorted_map, CodecResult, State};
 use fasthash::FastHashMap;
 
 /// Interval edges used by the paper's Figures 3 and 4, in milliseconds.
@@ -136,57 +137,6 @@ impl RltlTracker {
         }
     }
 
-    /// Serializes the tracker's mutable state (checkpoint support). The
-    /// per-row map is written sorted by key for a deterministic stream.
-    pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_usize(out, self.counts.len());
-        for &c in &self.counts {
-            put_u64(out, c);
-        }
-        put_u64(out, self.beyond);
-        put_u64(out, self.refresh_hits);
-        put_u64(out, self.activations);
-        let mut items: Vec<(RowKey, BusCycle)> =
-            self.last_pre.iter().map(|(&k, &v)| (k, v)).collect();
-        items.sort_unstable();
-        put_usize(out, items.len());
-        for (k, at) in items {
-            put_u64(out, k.raw());
-            put_u64(out, at);
-        }
-    }
-
-    /// Restores state saved by [`Self::save_state`] into a tracker built
-    /// with the same interval set.
-    pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        let n = take_len(input, 8, "rltl counts")?;
-        if n != self.counts.len() {
-            return Err(format!(
-                "rltl interval mismatch: checkpoint has {n}, tracker has {}",
-                self.counts.len()
-            ));
-        }
-        for c in self.counts.iter_mut() {
-            *c = take_u64(input, "rltl count")?;
-        }
-        self.beyond = take_u64(input, "rltl beyond")?;
-        self.refresh_hits = take_u64(input, "rltl refresh hits")?;
-        self.activations = take_u64(input, "rltl activations")?;
-        let rows = take_len(input, 16, "rltl rows")?;
-        self.last_pre.clear();
-        for _ in 0..rows {
-            let k = take_u64(input, "rltl row key")?;
-            let at = take_u64(input, "rltl pre time")?;
-            self.last_pre.insert(
-                RowKey::new((k >> 48) as u8, (k >> 40) as u8, (k >> 32) as u8, k as u32),
-                at,
-            );
-        }
-        Ok(())
-    }
-
     /// Merges another tracker's aggregate counts (used to combine
     /// channels). Per-row state is not merged.
     pub fn absorb(&mut self, other: &RltlTracker) {
@@ -197,6 +147,28 @@ impl RltlTracker {
         self.beyond += other.beyond;
         self.refresh_hits += other.refresh_hits;
         self.activations += other.activations;
+    }
+}
+
+/// The tracker's mutable state (checkpoint support); the interval set
+/// comes from the configuration.
+impl State for RltlTracker {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_slice(out, &self.counts);
+        self.beyond.put(out);
+        self.refresh_hits.put(out);
+        self.activations.put(out);
+        put_sorted_map(out, &self.last_pre);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        load_slice(input, &mut self.counts, |n, have| {
+            format!("rltl interval mismatch: checkpoint has {n}, tracker has {have}")
+        })?;
+        self.beyond.load(input)?;
+        self.refresh_hits.load(input)?;
+        self.activations.load(input)?;
+        load_map(input, &mut self.last_pre)
     }
 }
 

@@ -1,5 +1,8 @@
 //! Controller statistics.
 
+use fasthash::codec::State;
+use fasthash::impl_state;
+
 /// Aggregate statistics across one controller (or the whole system).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CtrlStats {
@@ -95,54 +98,10 @@ impl CtrlStats {
         }
     }
 
-    /// Serializes every counter (checkpoint support).
+    /// Serializes every counter (checkpoint support) through its
+    /// [`State`] impl.
     pub fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        for v in [
-            self.reads,
-            self.writes,
-            self.forwarded_reads,
-            self.row_hits,
-            self.row_misses,
-            self.row_conflicts,
-            self.refreshes,
-            self.read_latency_sum,
-            self.read_latency_count,
-            self.sched_passes,
-            self.sched_bank_visits,
-            self.index_release_misses,
-        ] {
-            put_u64(out, v);
-        }
-        for &b in &self.read_latency_hist {
-            put_u64(out, b);
-        }
-    }
-
-    /// Decodes counters saved by [`Self::save_state`].
-    pub fn load_state(input: &mut &[u8]) -> Result<Self, String> {
-        use fasthash::codec::*;
-        let mut s = Self::default();
-        for f in [
-            &mut s.reads,
-            &mut s.writes,
-            &mut s.forwarded_reads,
-            &mut s.row_hits,
-            &mut s.row_misses,
-            &mut s.row_conflicts,
-            &mut s.refreshes,
-            &mut s.read_latency_sum,
-            &mut s.read_latency_count,
-            &mut s.sched_passes,
-            &mut s.sched_bank_visits,
-            &mut s.index_release_misses,
-        ] {
-            *f = take_u64(input, "ctrl stat")?;
-        }
-        for b in s.read_latency_hist.iter_mut() {
-            *b = take_u64(input, "latency histogram bucket")?;
-        }
-        Ok(s)
+        self.put(out);
     }
 
     /// Element-wise accumulation.
@@ -174,6 +133,22 @@ impl CtrlStats {
         }
     }
 }
+
+impl_state!(CtrlStats {
+    reads,
+    writes,
+    forwarded_reads,
+    row_hits,
+    row_misses,
+    row_conflicts,
+    refreshes,
+    read_latency_sum,
+    read_latency_count,
+    sched_passes,
+    sched_bank_visits,
+    index_release_misses,
+    read_latency_hist
+});
 
 #[cfg(test)]
 mod tests {

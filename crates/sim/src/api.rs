@@ -230,9 +230,18 @@ impl Variant {
 
     /// A labelled mechanism-parameter patch (see [`Variant::param`]).
     pub fn param_labelled(label: impl Into<String>, key: &'static str, value: ParamValue) -> Self {
+        Self::params(label, vec![(key.to_string(), value)])
+    }
+
+    /// A labelled patch of several mechanism parameters, applied in
+    /// order; each key is set only on mechanisms whose factory supports
+    /// it (see [`Variant::param`]).
+    pub fn params(label: impl Into<String>, params: Vec<(String, ParamValue)>) -> Self {
         Self::new(label, move |cfg| {
-            if registry::supports_param(&cfg.mechanism, key) {
-                cfg.mechanism.set(key, value.clone());
+            for (key, value) in &params {
+                if registry::supports_param(&cfg.mechanism, key) {
+                    cfg.mechanism.set(key.clone(), value.clone());
+                }
             }
         })
     }

@@ -25,8 +25,8 @@
 //! The payload is the run-driver position (phase, next chunk target,
 //! absolute phase deadline), the warmup-boundary snapshot when the
 //! measured phase has begun, and the complete deterministic system state
-//! ([`System::save_state`]) — floats as IEEE-754 bit patterns, every map
-//! sorted, so identical runs produce identical checkpoint bytes.
+//! ([`System::save_state`]), all in the [`fasthash::codec`] wire format,
+//! so identical runs produce identical checkpoint bytes.
 //!
 //! # Kill-anywhere guarantee
 //!
@@ -44,6 +44,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use fasthash::codec::State;
 use traces::WorkloadSpec;
 
 use crate::config::{InvalidConfig, SystemConfig};
@@ -189,14 +190,13 @@ fn encode_payload(
     warm: Option<&Snapshot>,
     sys: &System,
 ) -> Option<Vec<u8>> {
-    use fasthash::codec::*;
     let mut out = Vec::with_capacity(4096);
-    put_u8(&mut out, phase);
-    put_u64(&mut out, target);
-    put_u64(&mut out, deadline);
+    phase.put(&mut out);
+    target.put(&mut out);
+    deadline.put(&mut out);
     if phase == 1 {
         warm.expect("measured-phase checkpoint carries the warmup snapshot")
-            .save_state(&mut out);
+            .put(&mut out);
     }
     sys.save_state(&mut out).then_some(out)
 }
@@ -204,16 +204,15 @@ fn encode_payload(
 /// Decodes a checkpoint payload into a freshly built system. On error
 /// the system may be partially mutated; the caller rebuilds it.
 fn decode_payload(mut input: &[u8], sys: &mut System) -> Result<Position, String> {
-    use fasthash::codec::*;
     let input = &mut input;
-    let phase = take_u8(input, "checkpoint phase")?;
+    let phase = u8::take(input)?;
     if phase > 1 {
         return Err(format!("invalid checkpoint phase {phase}"));
     }
-    let target = take_u64(input, "checkpoint target")?;
-    let deadline = take_u64(input, "checkpoint deadline")?;
+    let target = u64::take(input)?;
+    let deadline = u64::take(input)?;
     let warm = if phase == 1 {
-        Some(Snapshot::load_state(input)?)
+        Some(Snapshot::take(input)?)
     } else {
         None
     };

@@ -22,7 +22,8 @@
 use std::collections::VecDeque;
 
 use cpu::{AccessReply, Core, Llc, LoadId, MemAccess, MemOp, TraceSource};
-use fasthash::FastHashMap;
+use fasthash::codec::{load_map, load_slice, put_slice, put_sorted_map, CodecResult, State};
+use fasthash::{impl_state, FastHashMap};
 use memctrl::{AccessKind, MemRequest, MemorySystem, RequestId};
 
 use crate::config::{Engine, InvalidConfig, SystemConfig};
@@ -412,7 +413,8 @@ impl System {
     /// cores (including trace positions), LLC, in-flight fills and
     /// waiters, writeback backlog, and the full memory system — so an
     /// equally-configured fresh system restored from the bytes continues
-    /// the run bit-identically.
+    /// the run bit-identically. The layout is the system's [`State`]
+    /// encoding (see [`fasthash::codec`]).
     ///
     /// Must be called at a *run boundary* (right after
     /// [`System::run_until_retired`] returns): every core is awake, the
@@ -423,47 +425,15 @@ impl System {
     /// mechanism does not support checkpointing (extension and plugin
     /// mechanisms opt in via `LatencyMechanism::save_state`).
     pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
-        use fasthash::codec::*;
         debug_assert!(
             self.sleep.iter().all(|s| !s.asleep),
             "checkpoint taken with sleeping cores (not at a run boundary)"
         );
         debug_assert!(self.completions.is_empty());
-        let mut body = Vec::new();
-        put_u64(&mut body, self.now);
-        put_usize(&mut body, self.cores.len());
-        for c in &self.cores {
-            c.save_state(&mut body);
-        }
-        self.llc.save_state(&mut body);
-        let mut fills: Vec<(RequestId, u64)> = self.fills.iter().map(|(&k, &v)| (k, v)).collect();
-        fills.sort_unstable();
-        put_usize(&mut body, fills.len());
-        for (id, line) in fills {
-            put_u64(&mut body, id);
-            put_u64(&mut body, line);
-        }
-        let mut lines: Vec<u64> = self.waiters.keys().copied().collect();
-        lines.sort_unstable();
-        put_usize(&mut body, lines.len());
-        for line in lines {
-            let ws = &self.waiters[&line];
-            put_u64(&mut body, line);
-            put_usize(&mut body, ws.len());
-            for &(core, load) in ws {
-                put_usize(&mut body, core);
-                put_u64(&mut body, load);
-            }
-        }
-        put_usize(&mut body, self.wb_backlog.len());
-        for &(line, core) in &self.wb_backlog {
-            put_u64(&mut body, line);
-            put_usize(&mut body, core);
-        }
-        if !self.mem.save_state(&mut body) {
+        if !self.mem.checkpointable() {
             return false;
         }
-        out.extend_from_slice(&body);
+        self.put(out);
         true
     }
 
@@ -475,58 +445,7 @@ impl System {
     /// Returns a description of the mismatch or truncation. The system
     /// may be partially mutated on error; discard it and rebuild.
     pub fn load_state(&mut self, input: &mut &[u8]) -> Result<(), String> {
-        use fasthash::codec::*;
-        self.now = take_u64(input, "system clock")?;
-        let n = take_len(input, 1, "core count")?;
-        if n != self.cores.len() {
-            return Err(format!(
-                "checkpoint has {n} cores, system has {}",
-                self.cores.len()
-            ));
-        }
-        for c in &mut self.cores {
-            c.load_state(input)?;
-        }
-        self.llc.load_state(input)?;
-        let fills = take_len(input, 16, "in-flight fills")?;
-        self.fills.clear();
-        for _ in 0..fills {
-            let id = take_u64(input, "fill request id")?;
-            let line = take_u64(input, "fill line")?;
-            self.fills.insert(id, line);
-        }
-        let lines = take_len(input, 16, "waiter lines")?;
-        self.waiters.clear();
-        for _ in 0..lines {
-            let line = take_u64(input, "waiter line")?;
-            let m = take_len(input, 16, "waiters per line")?;
-            let mut ws = Vec::with_capacity(m);
-            for _ in 0..m {
-                let core = take_usize(input, "waiter core")?;
-                if core >= self.cores.len() {
-                    return Err(format!("waiter core {core} out of range"));
-                }
-                ws.push((core, take_u64(input, "waiter load id")?));
-            }
-            self.waiters.insert(line, ws);
-        }
-        let wb = take_len(input, 16, "writeback backlog")?;
-        self.wb_backlog.clear();
-        for _ in 0..wb {
-            let line = take_u64(input, "backlog line")?;
-            let core = take_usize(input, "backlog core")?;
-            if core >= self.cores.len() {
-                return Err(format!("backlog core {core} out of range"));
-            }
-            self.wb_backlog.push_back((line, core));
-        }
-        self.mem.load_state(input)?;
-        for s in &mut self.sleep {
-            *s = SleepState::AWAKE;
-        }
-        self.completions.clear();
-        self.resync_clock();
-        Ok(())
+        self.load(input)
     }
 
     /// Snapshot of all measurable state (used for warmup deltas).
@@ -571,7 +490,45 @@ impl System {
     }
 }
 
+impl State for System {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.now.put(out);
+        put_slice(out, &self.cores);
+        self.llc.put(out);
+        put_sorted_map(out, &self.fills);
+        put_sorted_map(out, &self.waiters);
+        self.wb_backlog.put(out);
+        self.mem.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        self.now.load(input)?;
+        load_slice(input, &mut self.cores, |n, have| {
+            format!("checkpoint has {n} cores, system has {have}")
+        })?;
+        self.llc.load(input)?;
+        load_map(input, &mut self.fills)?;
+        load_map(input, &mut self.waiters)?;
+        let cores = self.cores.len();
+        if let Some(&(core, _)) = self.waiters.values().flatten().find(|w| w.0 >= cores) {
+            return Err(format!("waiter core {core} out of range"));
+        }
+        self.wb_backlog.load(input)?;
+        if let Some(&(_, core)) = self.wb_backlog.iter().find(|b| b.1 >= cores) {
+            return Err(format!("backlog core {core} out of range"));
+        }
+        self.mem.load(input)?;
+        for s in &mut self.sleep {
+            *s = SleepState::AWAKE;
+        }
+        self.completions.clear();
+        self.resync_clock();
+        Ok(())
+    }
+}
+
 /// Warmup-boundary snapshot.
+#[derive(Default)]
 pub(crate) struct Snapshot {
     now: u64,
     retired: Vec<u64>,
@@ -579,39 +536,14 @@ pub(crate) struct Snapshot {
     mech: chargecache::MechanismReport,
 }
 
-impl Snapshot {
-    /// Serializes the snapshot (mid-measurement checkpoints carry the
-    /// warmup boundary so `result_since` can subtract it after resume).
-    pub(crate) fn save_state(&self, out: &mut Vec<u8>) {
-        use fasthash::codec::*;
-        put_u64(out, self.now);
-        put_usize(out, self.retired.len());
-        for &r in &self.retired {
-            put_u64(out, r);
-        }
-        self.ctrl.save_state(out);
-        self.mech.save_state(out);
-    }
-
-    /// Decodes a snapshot saved by [`Snapshot::save_state`].
-    pub(crate) fn load_state(input: &mut &[u8]) -> Result<Self, String> {
-        use fasthash::codec::*;
-        let now = take_u64(input, "snapshot clock")?;
-        let n = take_len(input, 8, "snapshot cores")?;
-        let mut retired = Vec::with_capacity(n);
-        for _ in 0..n {
-            retired.push(take_u64(input, "snapshot retired")?);
-        }
-        let ctrl = memctrl::CtrlStats::load_state(input)?;
-        let mech = chargecache::MechanismReport::load_state(input)?;
-        Ok(Self {
-            now,
-            retired,
-            ctrl,
-            mech,
-        })
-    }
-}
+// Mid-measurement checkpoints carry the warmup boundary so
+// `result_since` can subtract it after resume.
+impl_state!(Snapshot {
+    now,
+    retired,
+    ctrl,
+    mech
+});
 
 fn ctrl_sub(a: &mut memctrl::CtrlStats, b: &memctrl::CtrlStats) {
     a.reads -= b.reads;

@@ -18,12 +18,20 @@
 //! differently (a Baseline cell shared across a capacity axis), and each
 //! client gets its own labels back.
 //!
-//! Lock ordering: a connection thread holds its client's write lock
-//! while mutating `State` (so `accepted` always precedes the job's
-//! first `cell`); workers take the state lock, collect the responses to
-//! send, release it, and only then take client write locks. No thread
-//! ever takes the state lock while holding it, so a slow client can
-//! delay its own stream but never the daemon.
+//! Output: every connection owns an outbound frame queue drained by
+//! one writer thread, the only thread that writes to its socket. Every
+//! job frame (`accepted`, `cell`, `done`, `cancelled`, `aborted`, and
+//! the final `bye`) is queued while the state lock is held, in the same
+//! critical section as the state change it reports. Frame order on the
+//! wire is therefore the order of those state changes: `accepted`
+//! precedes the job's first `cell`, every `cell` precedes `done`, and
+//! nothing follows `done`, `cancelled` or `aborted`. `client_quota`
+//! bounds the cells a queue can hold.
+//!
+//! Lock ordering: the state lock, then an outbound queue's lock (held
+//! only to push or pop frames). No thread writes to a socket while
+//! holding either lock, so a client that stops reading stalls only its
+//! own writer thread — never a worker, a shutdown, or the daemon.
 //!
 //! # Shutdown
 //!
@@ -39,7 +47,7 @@ use std::io::{self, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -148,17 +156,68 @@ struct JobState {
     failed: usize,
 }
 
-/// One client's serialized response stream.
+/// One client's outbound frame queue, drained in order by its writer
+/// thread ([`Out::drain_to`]).
+#[derive(Default)]
 struct Out {
-    w: Mutex<UnixStream>,
+    queue: Mutex<OutQueue>,
+    ready: Condvar,
+}
+
+#[derive(Default)]
+struct OutQueue {
+    frames: VecDeque<String>,
+    /// No more frames will be queued; the writer exits once drained.
+    closed: bool,
 }
 
 impl Out {
+    /// Queues one frame. Job frames are queued under the state lock so
+    /// their order matches the state changes they report.
     fn send(&self, j: &Json) {
-        if let Ok(mut w) = self.w.lock() {
-            let _ = writeln!(w, "{j}");
+        let mut q = lock(&self.queue);
+        if !q.closed {
+            q.frames.push_back(j.to_string());
+            self.ready.notify_one();
         }
     }
+
+    /// Marks the stream finished; frames already queued are still
+    /// written.
+    fn close(&self) {
+        lock(&self.queue).closed = true;
+        self.ready.notify_one();
+    }
+
+    /// The writer thread: writes queued frames in order until the queue
+    /// is closed and empty. A write error means the client is gone: the
+    /// queue closes and its frames are discarded.
+    fn drain_to(&self, mut w: UnixStream) {
+        loop {
+            let frames = {
+                let mut q = lock(&self.queue);
+                while q.frames.is_empty() && !q.closed {
+                    q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+                }
+                if q.frames.is_empty() {
+                    return;
+                }
+                std::mem::take(&mut q.frames)
+            };
+            if frames.iter().any(|f| writeln!(w, "{f}").is_err()) {
+                let mut q = lock(&self.queue);
+                q.closed = true;
+                q.frames.clear();
+                return;
+            }
+        }
+    }
+}
+
+/// Locks a mutex whose data stays consistent even if a holder panicked
+/// (every critical section leaves it valid).
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Server {
@@ -281,7 +340,6 @@ fn worker(shared: &Shared) {
         // every byte of the streamed cell) is unchanged by it.
         plan.params.checkpoint_interval = shared.checkpoint_interval;
         let outcome = plan.run(shared.disk.as_deref());
-        let mut sends: Vec<(Arc<Out>, Json)> = Vec::new();
         {
             let mut st = shared.state.lock().expect("daemon state poisoned");
             st.running -= 1;
@@ -297,25 +355,19 @@ fn worker(shared: &Shared) {
                     job.failed += 1;
                 }
                 let cell = sub.plan.into_cell(cell_outcome);
-                sends.push((
-                    Arc::clone(&sub.out),
-                    Json::Obj(vec![
-                        ("type".into(), Json::str("cell")),
-                        ("job".into(), Json::str(&sub.job)),
-                        ("index".into(), Json::uint(sub.index as u64)),
-                        ("cell".into(), cell.to_json()),
-                    ]),
-                ));
+                sub.out.send(&Json::Obj(vec![
+                    ("type".into(), Json::str("cell")),
+                    ("job".into(), Json::str(&sub.job)),
+                    ("index".into(), Json::uint(sub.index as u64)),
+                    ("cell".into(), cell.to_json()),
+                ]));
                 if job.completed == job.total {
-                    sends.push((
-                        Arc::clone(&sub.out),
-                        Json::Obj(vec![
-                            ("type".into(), Json::str("done")),
-                            ("job".into(), Json::str(&sub.job)),
-                            ("cells".into(), Json::uint(job.total as u64)),
-                            ("failed".into(), Json::uint(job.failed as u64)),
-                        ]),
-                    ));
+                    sub.out.send(&Json::Obj(vec![
+                        ("type".into(), Json::str("done")),
+                        ("job".into(), Json::str(&sub.job)),
+                        ("cells".into(), Json::uint(job.total as u64)),
+                        ("failed".into(), Json::uint(job.failed as u64)),
+                    ]));
                     finished.push(sub.job.clone());
                 }
             }
@@ -326,9 +378,6 @@ fn worker(shared: &Shared) {
                 shared.drained.notify_all();
             }
         }
-        for (out, j) in sends {
-            out.send(&j);
-        }
     }
 }
 
@@ -336,9 +385,11 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let out = Arc::new(Out {
-        w: Mutex::new(write_half),
-    });
+    let out = Arc::new(Out::default());
+    let writer = {
+        let out = Arc::clone(&out);
+        thread::spawn(move || out.drain_to(write_half))
+    };
     let client_id = {
         let mut st = shared.state.lock().expect("daemon state poisoned");
         st.next_client += 1;
@@ -378,6 +429,11 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
                     }
                     Ok(Request::Shutdown) => {
                         shutdown(shared, &out);
+                        // `bye` reaches the requester before the daemon
+                        // stops accepting and exits.
+                        out.close();
+                        writer.join().expect("client writer thread panicked");
+                        shared.stop_accepting.store(true, Relaxed);
                         return;
                     }
                 }
@@ -386,10 +442,14 @@ fn handle_client(shared: &Arc<Shared>, stream: UnixStream) {
     }
     // Disconnect: nobody is left to stream to, so the client's live jobs
     // are cancelled — queued cells with no other subscriber are dropped.
-    let mut st = shared.state.lock().expect("daemon state poisoned");
-    for id in my_jobs {
-        cancel_job_locked(&mut st, &id);
+    {
+        let mut st = shared.state.lock().expect("daemon state poisoned");
+        for id in my_jobs {
+            cancel_job_locked(&mut st, &id);
+        }
     }
+    out.close();
+    writer.join().expect("client writer thread panicked");
 }
 
 fn submit(
@@ -409,19 +469,9 @@ fn submit(
             return;
         }
     };
-    // Hold the client's write lock across the state mutation so the
-    // `accepted` line is on the wire before any worker can stream this
-    // job's first cell (workers only send after releasing the state
-    // lock, which they can't take until we're done).
-    let mut w = out.w.lock().expect("client stream poisoned");
     let mut st = shared.state.lock().expect("daemon state poisoned");
     if st.shutting_down {
-        drop(st);
-        let _ = writeln!(
-            w,
-            "{}",
-            error_json(ErrorCode::ShuttingDown, "daemon is draining")
-        );
+        out.send(&error_json(ErrorCode::ShuttingDown, "daemon is draining"));
         return;
     }
     let outstanding: usize = st
@@ -436,8 +486,7 @@ fn submit(
             plan.cells.len(),
             shared.client_quota
         );
-        drop(st);
-        let _ = writeln!(w, "{}", error_json(ErrorCode::ClientQuota, msg));
+        out.send(&error_json(ErrorCode::ClientQuota, msg));
         return;
     }
     let mut new_keys: Vec<u128> = Vec::new();
@@ -454,8 +503,7 @@ fn submit(
             new_keys.len(),
             shared.queue_depth
         );
-        drop(st);
-        let _ = writeln!(w, "{}", error_json(ErrorCode::QueueFull, msg));
+        out.send(&error_json(ErrorCode::QueueFull, msg));
         return;
     }
     st.next_job += 1;
@@ -492,11 +540,11 @@ fn submit(
             }
         }
     }
+    // Queued before the state lock is released, so ahead of any frame
+    // a worker produces for this job.
+    out.send(&accepted_json(&job_id, &plan));
     shared.work.notify_all();
-    my_jobs.push(job_id.clone());
-    let accepted = accepted_json(&job_id, &plan);
-    drop(st);
-    let _ = writeln!(w, "{accepted}");
+    my_jobs.push(job_id);
 }
 
 fn cancel(shared: &Arc<Shared>, out: &Arc<Out>, my_jobs: &[String], id: &str) {
@@ -507,11 +555,9 @@ fn cancel(shared: &Arc<Shared>, out: &Arc<Out>, my_jobs: &[String], id: &str) {
         ));
         return;
     }
-    let dropped = {
-        let mut st = shared.state.lock().expect("daemon state poisoned");
-        cancel_job_locked(&mut st, id)
-    };
-    match dropped {
+    // Answered under the state lock: no frame of the job can follow it.
+    let mut st = shared.state.lock().expect("daemon state poisoned");
+    match cancel_job_locked(&mut st, id) {
         Some(n) => out.send(&Json::Obj(vec![
             ("type".into(), Json::str("cancelled")),
             ("job".into(), Json::str(id)),
@@ -545,7 +591,6 @@ fn cancel_job_locked(st: &mut State, id: &str) -> Option<usize> {
 }
 
 fn shutdown(shared: &Arc<Shared>, out: &Arc<Out>) {
-    let mut aborted: Vec<(Arc<Out>, Json)> = Vec::new();
     {
         let mut st = shared.state.lock().expect("daemon state poisoned");
         st.shutting_down = true;
@@ -571,29 +616,20 @@ fn shutdown(shared: &Arc<Shared>, out: &Arc<Out>) {
             // gone they are not streamed; one `aborted` tells the client
             // the whole story.
             let _ = job;
-            aborted.push((
-                Arc::clone(out),
-                Json::Obj(vec![
-                    ("type".into(), Json::str("aborted")),
-                    ("job".into(), Json::str(&id)),
-                    ("dropped".into(), Json::uint(dropped as u64)),
-                ]),
-            ));
+            out.send(&Json::Obj(vec![
+                ("type".into(), Json::str("aborted")),
+                ("job".into(), Json::str(&id)),
+                ("dropped".into(), Json::uint(dropped as u64)),
+            ]));
         }
         shared.work.notify_all();
     }
-    for (o, j) in &aborted {
-        o.send(j);
-    }
     // Wait for the drain: running cells finish (and persist) first.
-    {
-        let mut st = shared.state.lock().expect("daemon state poisoned");
-        while !(st.running == 0 && st.queue.is_empty()) {
-            st = shared.drained.wait(st).expect("daemon state poisoned");
-        }
+    let mut st = shared.state.lock().expect("daemon state poisoned");
+    while !(st.running == 0 && st.queue.is_empty()) {
+        st = shared.drained.wait(st).expect("daemon state poisoned");
     }
     out.send(&Json::Obj(vec![("type".into(), Json::str("bye"))]));
-    shared.stop_accepting.store(true, Relaxed);
 }
 
 fn accepted_json(job: &str, plan: &SweepPlan) -> Json {

@@ -35,8 +35,7 @@ use sim::{Engine, ExpParams};
 use traces::{eight_core_mixes, workload};
 
 /// One labelled variant on the wire: a parameter patch applied to every
-/// mechanism whose factory supports the key (exactly like
-/// [`Variant::param_labelled`]).
+/// mechanism whose factory supports the key ([`Variant::params`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VariantSpec {
     /// The variant label (row/column key in the result table).
@@ -48,14 +47,7 @@ pub struct VariantSpec {
 impl VariantSpec {
     /// Materializes the equivalent [`Variant`].
     pub fn to_variant(&self) -> Variant {
-        let params = self.params.clone();
-        Variant::new(self.label.clone(), move |cfg| {
-            for (key, value) in &params {
-                if registry::supports_param(&cfg.mechanism, key) {
-                    cfg.mechanism.set(key.clone(), value.clone());
-                }
-            }
-        })
+        Variant::params(self.label.clone(), self.params.clone())
     }
 }
 

@@ -528,3 +528,150 @@ fn injected_io_faults_degrade_cleanly_without_changing_results() {
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::remove_dir_all(&dir2);
 }
+
+// ---------------------------------------------------------------------------
+// Frozen checkpoint bytes
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a, bit-for-bit `fasthash::checksum_64` (the run-cache
+/// payload checksum), restated here because the root package does not
+/// depend on `fasthash`.
+fn checksum_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Length and `checksum_64` of `System::save_state` after every core has
+/// retired `target` instructions. `tweak` edits the paper config first.
+fn state_fingerprint(
+    mut cfg: SystemConfig,
+    apps: &[traces::WorkloadSpec],
+    target: u64,
+    tweak: impl FnOnce(&mut SystemConfig),
+) -> (usize, u64) {
+    tweak(&mut cfg);
+    let seed = ExpParams::tiny().seed;
+    let traces = apps
+        .iter()
+        .enumerate()
+        .map(|(core, spec)| {
+            let core_seed = seed ^ (core as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            spec.build(core_seed, cfg.region_base(core))
+        })
+        .collect();
+    let mut sys = System::try_new(cfg, traces).unwrap();
+    assert!(
+        sys.run_until_retired(target, 50_000_000),
+        "hit the cycle budget"
+    );
+    let mut bytes = Vec::new();
+    assert!(sys.save_state(&mut bytes), "built-ins capture state");
+    (bytes.len(), checksum_64(&bytes))
+}
+
+/// The checkpoint wire format is frozen (`sim::ckpt::CKPT_VERSION`
+/// guards it): the bytes of a mid-run `System::save_state` are pinned
+/// for every built-in mechanism plus the unlimited-capacity HCRAC (the
+/// sorted-map path), every device family (lpddr4x covers per-bank
+/// refresh), an eight-core mix with fills, waiters and a writeback
+/// backlog in flight, and both command-log states. A layout change that
+/// still round-trips passes the resume tests above but fails here.
+#[test]
+fn checkpoint_bytes_are_frozen() {
+    let tpch2 = [workload("tpch2").unwrap()];
+    let mut got: Vec<(String, (usize, u64))> = Vec::new();
+    for mech in [
+        "baseline",
+        "chargecache",
+        "nuat",
+        "cc-nuat",
+        "lldram",
+        "chargecache(unlimited=true)",
+    ] {
+        let cfg = SystemConfig::paper_single_core(mech.parse().unwrap());
+        got.push((mech.into(), state_fingerprint(cfg, &tpch2, 1_500, |_| {})));
+    }
+    for family in ["ddr3", "ddr4", "lpddr4x", "hbm2"] {
+        let cfg = SystemConfig::paper_single_core(MechanismSpec::chargecache())
+            .with_family(family.parse().unwrap())
+            .unwrap();
+        got.push((family.into(), state_fingerprint(cfg, &tpch2, 1_500, |_| {})));
+    }
+    let cfg = SystemConfig::paper_single_core(MechanismSpec::chargecache());
+    got.push((
+        "no command log".into(),
+        state_fingerprint(cfg, &tpch2, 1_500, |c| c.measure_energy = false),
+    ));
+    // A 64 KiB LLC and an 8-deep write queue put dirty evictions into
+    // the system's writeback backlog at this boundary.
+    let mix = &traces::eight_core_mixes()[0];
+    let cfg = SystemConfig::paper_eight_core(MechanismSpec::chargecache());
+    got.push((
+        mix.name.clone(),
+        state_fingerprint(cfg, &mix.apps, 2_000, |c| {
+            c.llc.capacity_bytes = 64 << 10;
+            c.ctrl.write_queue = 8;
+            c.ctrl.write_hi_watermark = 7;
+            c.ctrl.write_lo_watermark = 2;
+        }),
+    ));
+    let want: Vec<(String, (usize, u64))> = GOLDEN_STATE
+        .iter()
+        .map(|&(n, len, sum)| (n.to_string(), (len, sum)))
+        .collect();
+    assert_eq!(
+        got, want,
+        "checkpoint bytes changed without a CKPT_VERSION bump"
+    );
+}
+
+/// `(configuration, length, checksum_64)` captured before the state
+/// codec refactor; see [`checkpoint_bytes_are_frozen`].
+const GOLDEN_STATE: &[(&str, usize, u64)] = &[
+    ("baseline", 1249939, 0x857776090490cfd2),
+    ("chargecache", 1253260, 0xab5d93707a76790c),
+    ("nuat", 1249955, 0xc79619b8dadaa851),
+    ("cc-nuat", 1253284, 0x724006571065f4dc),
+    ("lldram", 1249939, 0x8a1cc9369a6b542e),
+    ("chargecache(unlimited=true)", 1250636, 0x2cc091d85d289369),
+    ("ddr3", 1253260, 0xab5d93707a76790c),
+    ("ddr4", 1253723, 0x969c44f3ad872fb5),
+    ("lpddr4x", 2242963, 0x5e3b4539186fd7db),
+    ("hbm2", 2318259, 0x0989300becd5c669),
+    ("no command log", 1251800, 0x7dea6d42fc709892),
+    ("w1", 316170, 0x5ea6f4c1b7cf9d98),
+];
+
+/// The phase-1 payload `cc-sim` persists (run-driver position, warmup
+/// snapshot, system state) is pinned through the same kill-after-store
+/// hook the resume tests use.
+#[test]
+fn measured_phase_checkpoint_payload_is_frozen() {
+    let dir = tmp_dir("frozen");
+    let dir_s = dir.to_str().unwrap().to_string();
+    let out = cc_sim(&["--cache-dir", &dir_s, "--checkpoint-interval", "1000"])
+        .env("CC_FAULT_INJECTION", "ckpt-exit=1")
+        .output()
+        .expect("cc-sim runs");
+    assert_eq!(out.status.code(), Some(86), "{out:?}");
+    let ckpt = fs::read_dir(&dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .expect("the killed run left its checkpoint");
+    let key = u128::from_str_radix(ckpt.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+    let payload = CheckpointStore::new(&dir)
+        .load(key)
+        .expect("checkpoint verifies");
+    assert_eq!(
+        payload[0], 1,
+        "first store of this run is in the measured phase"
+    );
+    assert_eq!(
+        (payload.len(), checksum_64(&payload)),
+        (1_257_329, 0xd567_3926_7644_45ef)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -9,7 +9,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -21,7 +21,8 @@ use simd::{Client, ClientError, Server, ServerConfig, SweepSpec};
 use traces::TraceRng;
 
 /// Serializes the tests that simulate in-process: they share the
-/// process-wide run memoizer and its execution counter.
+/// process-wide run memoizer and its execution counter. Taken
+/// poison-tolerantly, so one failing test reports as one failure.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny() -> ExpParams {
@@ -85,7 +86,7 @@ fn shut_down(socket: &PathBuf, handle: thread::JoinHandle<()>) {
 
 #[test]
 fn served_sweep_is_byte_identical_to_local() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let cache = tmp_path("ident-cache");
     let (socket, handle) = start_server("ident", |cfg| cfg.cache_dir = Some(cache.clone()));
 
@@ -117,7 +118,7 @@ fn served_sweep_is_byte_identical_to_local() {
 
 #[test]
 fn overlapping_concurrent_submissions_are_single_flighted() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (socket, handle) = start_server("flight", |_| {});
 
     // A grid no other test uses (distinct seed ⇒ distinct content keys),
@@ -189,7 +190,7 @@ fn bounded_queue_and_client_quota_reject_with_typed_errors() {
 
 #[test]
 fn cancel_and_unknown_job_answer_typed_responses() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let (socket, handle) = start_server("cancel", |cfg| cfg.threads = 1);
     let mut c = Client::connect(&socket).expect("connect");
 
@@ -254,6 +255,130 @@ fn cancel_and_unknown_job_answer_typed_responses() {
         .expect("status");
     assert_eq!(status.get("type").and_then(Json::as_str), Some("status"));
 
+    shut_down(&socket, handle);
+}
+
+/// Stream-ordering invariant under load: many small overlapping jobs
+/// pipelined on one raw connection to 4 workers, one of them cancelled
+/// mid-stream. Per job, `accepted` precedes every `cell`, and nothing
+/// follows the job's `done` or `cancelled`.
+#[test]
+fn raw_frame_stream_keeps_per_job_order_under_overlapping_jobs() {
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let (socket, handle) = start_server("order", |cfg| cfg.threads = 4);
+    let params = ExpParams {
+        insts_per_core: 300,
+        warmup_insts: 100,
+        seed: 4242,
+        ..ExpParams::tiny()
+    };
+    let subjects = ["mcf", "tpch2", "lbm", "milc"];
+    let mechs = MechanismSpec::paper_all().to_vec();
+    let jobs = 16;
+    let stream = UnixStream::connect(&socket).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut w = stream.try_clone().expect("clone");
+    for i in 0..jobs {
+        // Rotating, overlapping subject windows and mechanism subsets:
+        // jobs share cells, so one execution fans out to several jobs.
+        let subs = [subjects[i % 4], subjects[(i + 1) % 4]];
+        let m = mechs[i % mechs.len()..].to_vec();
+        let sweep = spec(&subs, m, params).to_json();
+        let req = Json::Obj(vec![
+            ("type".into(), Json::str("submit")),
+            ("sweep".into(), sweep),
+        ]);
+        writeln!(w, "{req}").expect("submit");
+    }
+
+    #[derive(Default)]
+    struct JobLog {
+        accepted: bool,
+        cells: usize,
+        expected: usize,
+        finished: Option<String>,
+    }
+    let mut log: std::collections::HashMap<String, JobLog> = Default::default();
+    let mut cancel_sent = false;
+    let mut open = jobs;
+    let mut reader = BufReader::new(stream);
+    while open > 0 {
+        let mut line = String::new();
+        assert!(
+            reader.read_line(&mut line).expect("frame") > 0,
+            "daemon hung up"
+        );
+        let f = parse(line.trim()).expect("frame is JSON");
+        let ty = f.get("type").and_then(Json::as_str).expect("typed frame");
+        if ty == "error" {
+            // Only the cancel can race a job that already finished.
+            assert_eq!(
+                f.get("code").and_then(Json::as_str),
+                Some("unknown-job"),
+                "{f}"
+            );
+            open -= 1;
+            continue;
+        }
+        let job = f
+            .get("job")
+            .and_then(Json::as_str)
+            .expect("job id")
+            .to_string();
+        let entry = log.entry(job.clone()).or_default();
+        assert!(
+            entry.finished.is_none(),
+            "{ty} after {:?} for {job}",
+            entry.finished
+        );
+        match ty {
+            "accepted" => {
+                assert!(
+                    !entry.accepted && entry.cells == 0,
+                    "late accepted for {job}"
+                );
+                entry.accepted = true;
+                entry.expected = f.get("cells").and_then(Json::as_num).expect("cells") as usize;
+                if !cancel_sent && job == "j3" {
+                    let req = Json::Obj(vec![
+                        ("type".into(), Json::str("cancel")),
+                        ("job".into(), Json::str(&job)),
+                    ]);
+                    writeln!(w, "{req}").expect("cancel");
+                    cancel_sent = true;
+                }
+            }
+            "cell" => {
+                assert!(entry.accepted, "cell before accepted for {job}");
+                entry.cells += 1;
+            }
+            "done" => {
+                assert!(entry.accepted, "done before accepted for {job}");
+                assert_eq!(
+                    entry.cells, entry.expected,
+                    "done before every cell of {job}"
+                );
+                entry.finished = Some(ty.to_string());
+                open -= 1;
+            }
+            "cancelled" => {
+                entry.finished = Some(ty.to_string());
+                open -= 1;
+            }
+            other => panic!("unexpected frame type {other}"),
+        }
+    }
+    assert!(cancel_sent);
+    // The cancelled job resolved either way; every other job completed.
+    let done = log
+        .values()
+        .filter(|j| j.finished.as_deref() == Some("done"))
+        .count();
+    assert!(done >= jobs - 1, "only {done} of {jobs} jobs completed");
+    drop(reader);
+    drop(w);
     shut_down(&socket, handle);
 }
 
@@ -381,7 +506,20 @@ fn wait_for_socket(path: &PathBuf) {
     }
 }
 
-fn spawn_daemon(socket: &PathBuf, cache: &PathBuf) -> Child {
+/// A `cc-simd` subprocess that is killed if the test panics first, so a
+/// failure never leaks a daemon.
+struct Daemon(Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if matches!(self.0.try_wait(), Ok(None)) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
+fn spawn_daemon(socket: &PathBuf, cache: &PathBuf) -> Daemon {
     let child = Command::new(bin("cc-simd"))
         .args(["serve", "--socket"])
         .arg(socket)
@@ -393,7 +531,7 @@ fn spawn_daemon(socket: &PathBuf, cache: &PathBuf) -> Child {
         .spawn()
         .expect("spawn cc-simd");
     wait_for_socket(socket);
-    child
+    Daemon(child)
 }
 
 const RUN_FLAGS: &[&str] = &[
@@ -441,8 +579,8 @@ fn killed_daemon_restarts_and_serves_finished_cells_from_cache() {
         .spawn()
         .expect("spawn cc-sim");
     thread::sleep(Duration::from_millis(150));
-    daemon.kill().expect("kill daemon");
-    daemon.wait().expect("reap daemon");
+    daemon.0.kill().expect("kill daemon");
+    daemon.0.wait().expect("reap daemon");
     let _ = client.wait(); // fails; the daemon died under it
 
     // Phase 3: a restarted daemon must replace the stale socket file,
@@ -504,7 +642,7 @@ fn killed_daemon_restarts_and_serves_finished_cells_from_cache() {
         .output()
         .expect("cc-simd shutdown");
     assert!(bye.status.success());
-    daemon.wait().expect("daemon exits after shutdown");
+    daemon.0.wait().expect("daemon exits after shutdown");
     let deadline = Instant::now() + Duration::from_secs(10);
     while socket.exists() && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(20));
