@@ -9,9 +9,9 @@
 //!   the bank evaluations per pass. The bank-indexed scheduler's per-pass
 //!   cost must stay flat as the queue deepens (the flat-scan design grew
 //!   linearly with occupancy).
-//! * **8-core mix** — the `w1` row of the `engine` bench, timed exactly
-//!   like the engine bench (same params), isolating what the scheduler
-//!   rewrite buys the paper's multi-programmed configuration.
+//! * **8-core mix** — the `w1` mix at a quarter of the bench-scale run
+//!   length under both engines, isolating what the scheduler rewrite
+//!   buys the paper's multi-programmed configuration.
 //!
 //! Prints a human table and a JSON blob. `CC_TINY=1` shrinks both parts
 //! for CI smoke.
@@ -107,9 +107,8 @@ struct MixRow {
     visits: u64,
 }
 
-/// Times the `w1` eight-core mix under both engines, with the same
-/// parameters as the engine bench (so the cps is comparable to its `w1`
-/// row).
+/// Times the `w1` eight-core mix under both engines at a quarter of the
+/// bench-scale run length.
 fn run_mix() -> MixRow {
     let p = ExpParams::bench();
     let p8 = ExpParams {
@@ -169,7 +168,7 @@ fn main() {
         rows.push(r);
     }
 
-    println!("\n=== w1 (8-core) throughput, engine-bench parameters ===\n");
+    println!("\n=== w1 (8-core) throughput, quarter bench-scale parameters ===\n");
     let m = run_mix();
     let dense_cps = m.cycles as f64 / m.dense_s;
     let skip_cps = m.cycles as f64 / m.skip_s;

@@ -105,26 +105,3 @@ pub fn all_eight(
         )
         .collect()
 }
-
-/// Per-application alone-IPCs under `mechanism` (weighted-speedup
-/// denominators), keyed by workload name.
-pub fn alone_ipcs(
-    mechanism: &MechanismSpec,
-    p: &ExpParams,
-) -> std::collections::HashMap<&'static str, f64> {
-    all_single(mechanism, p)
-        .into_iter()
-        .map(|(spec, r)| (spec.name, r.ipc(0)))
-        .collect()
-}
-
-/// Weighted speedup of an eight-core result against alone-IPCs.
-pub fn ws_of(
-    mix: &MixSpec,
-    r: &RunResult,
-    alone: &std::collections::HashMap<&'static str, f64>,
-) -> f64 {
-    let shared: Vec<f64> = (0..mix.apps.len()).map(|c| r.ipc(c)).collect();
-    let alone: Vec<f64> = mix.apps.iter().map(|a| alone[a.name].max(1e-9)).collect();
-    sim::weighted_speedup(&shared, &alone)
-}

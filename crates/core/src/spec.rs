@@ -607,8 +607,19 @@ pub mod registry {
 // Built-in factories
 // ---------------------------------------------------------------------------
 
-/// ChargeCache-family parameters shared by `chargecache` and `cc-nuat`.
-fn cc_config_from(spec: &MechanismSpec, tck_ns: f64) -> Result<ChargeCacheConfig, String> {
+/// Parses and validates ChargeCache parameters (`entries`, `ways`,
+/// `duration`, `shared`, `unlimited`, `invalidation`, each defaulting to
+/// the paper's configuration), quantizing the caching duration's
+/// reductions at `tck_ns`. Shared by `chargecache`, `cc-nuat` and
+/// ChargeCache variants registered outside this crate.
+///
+/// # Errors
+///
+/// Returns a message for an ill-typed value, an unknown invalidation
+/// policy, a non-positive duration or an invalid HCRAC geometry. Keys
+/// are not checked: callers check them against their own accepted-key
+/// list first.
+pub fn cc_config_from(spec: &MechanismSpec, tck_ns: f64) -> Result<ChargeCacheConfig, String> {
     let entries = spec.usize_param("entries", 128)?;
     let ways = spec.usize_param("ways", 2)?;
     let duration_ms = spec.duration_ms_param("duration", 1.0)?;

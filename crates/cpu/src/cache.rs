@@ -91,15 +91,6 @@ impl LlcStats {
             (self.read_hits + self.write_hits) as f64 / acc as f64
         }
     }
-
-    /// Load miss rate (what drives DRAM read traffic).
-    pub fn read_miss_rate(&self) -> f64 {
-        if self.read_accesses == 0 {
-            0.0
-        } else {
-            1.0 - self.read_hits as f64 / self.read_accesses as f64
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]

@@ -21,11 +21,6 @@ impl MemOp {
             MemOp::Load(a) | MemOp::Store(a) => a,
         }
     }
-
-    /// True for loads.
-    pub fn is_load(&self) -> bool {
-        matches!(self, MemOp::Load(_))
-    }
 }
 
 /// One trace entry: `nonmem` plain instructions, then (optionally) one

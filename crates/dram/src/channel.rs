@@ -38,11 +38,6 @@ impl Channel {
         &self.ranks[rank as usize]
     }
 
-    /// Mutable access to a rank.
-    pub fn rank_mut(&mut self, rank: u8) -> &mut Rank {
-        &mut self.ranks[rank as usize]
-    }
-
     /// Earliest cycle (≥ `now`) at which `cmd` could legally issue on this
     /// channel.
     ///

@@ -129,18 +129,6 @@ impl DramConfig {
         }
     }
 
-    /// The configuration a device family resolves to: the family's
-    /// organization and refresh scope, with its structural timing
-    /// patched onto the family's default speed bin.
-    pub fn for_family(family: &crate::family::FamilyParams) -> Self {
-        Self {
-            org: family.organization(),
-            timing: family.apply_to(family.default_bin.timing()),
-            retention_ms: family.retention_ms,
-            refresh: family.refresh,
-        }
-    }
-
     /// A 3D-stacked (HBM/HMC-like) organization: many narrow channels,
     /// more banks, small rows (paper Section 7.2 — ChargeCache applies
     /// unchanged because the interface still uses explicit ACT/PRE; the
@@ -244,21 +232,5 @@ mod tests {
         cfg.org.bank_groups = 4;
         cfg.validate().unwrap();
         assert_eq!(cfg.org.banks_per_group(), 2);
-    }
-
-    #[test]
-    fn family_configs_are_valid() {
-        for (_, _, fam) in crate::family::list_families() {
-            let cfg = DramConfig::for_family(&fam);
-            cfg.validate()
-                .unwrap_or_else(|e| panic!("{}: {e}", fam.name));
-            assert_eq!(cfg.refresh, fam.refresh);
-        }
-    }
-
-    #[test]
-    fn ddr3_family_config_matches_paper_config() {
-        let fam = crate::family::resolve(&crate::family::FamilySpec::default()).unwrap();
-        assert_eq!(DramConfig::for_family(&fam), DramConfig::ddr3_1600_paper());
     }
 }

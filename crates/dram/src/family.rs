@@ -8,11 +8,11 @@
 //! all-bank refresh, channel and pseudo-channel counts, bank counts,
 //! row/column geometry and the burst length.
 //!
-//! Families are described declaratively — a [`FamilyParams`] record in a
-//! [`FamilyRegistry`], the way probe-rs describes chips as data rather
-//! than code — and selected with a [`FamilySpec`] in the shared spec
-//! grammar (see [`crate::spec`]), whose values are integers or bare
-//! tokens (`banks=16`, `refresh=per-bank`). Resolution is validated:
+//! Families are described declaratively — a fixed table of four
+//! [`FamilyParams`] records, the way probe-rs describes chips as data
+//! rather than code — and selected with a [`FamilySpec`] in the shared
+//! spec grammar (see [`crate::spec`]), whose values are integers or
+//! bare tokens (`banks=16`, `refresh=per-bank`). Resolution is validated:
 //! incoherent group spacing (`tCCD_L < tCCD_S`) or per-bank refresh on a
 //! family without it are rejected as typed [`FamilyError`]s, not
 //! simulated.
@@ -40,7 +40,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{OnceLock, RwLock};
 
 use crate::config::Organization;
 use crate::spec::{is_token, Spec, SpecValue};
@@ -74,10 +73,10 @@ impl fmt::Display for RefreshGranularity {
     }
 }
 
-/// A typed rejection from family resolution ([`FamilyRegistry::resolve`]).
+/// A typed rejection from family resolution ([`resolve`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FamilyError {
-    /// The spec names a family the registry does not know.
+    /// The spec names no built-in family.
     UnknownFamily {
         /// The unknown name.
         name: String,
@@ -193,7 +192,7 @@ impl SpecValue for FamilyValue {
     const DEBUG_AS: (&'static str, &'static str) = ("FamilySpec", "family");
 }
 
-/// Override keys accepted by [`FamilyRegistry::resolve`].
+/// Override keys accepted by [`resolve`].
 pub const FAMILY_KEYS: &[&str] = &[
     "bank_groups",
     "banks",
@@ -212,8 +211,8 @@ pub const FAMILY_KEYS: &[&str] = &[
     "trfcpb",
 ];
 
-/// A device-family selection: a registered family name plus typed
-/// overrides (`"ddr4(bank_groups=2)".parse()`). The registered family
+/// A device-family selection: a built-in family name plus typed
+/// overrides (`"ddr4(bank_groups=2)".parse()`). The named family
 /// supplies every field that is not overridden.
 pub type FamilySpec = Spec<FamilyValue>;
 
@@ -248,7 +247,7 @@ impl Default for Spec<FamilyValue> {
 /// only explicit ones onto a resolved [`TimingParams`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FamilyParams {
-    /// Canonical family name (registry key).
+    /// Canonical family name.
     pub name: String,
     /// Bank groups per rank (1 = ungrouped).
     pub bank_groups: u8,
@@ -412,316 +411,230 @@ impl FamilyParams {
     }
 }
 
-/// One registry entry: the base description plus its listing metadata.
-#[derive(Debug, Clone)]
-struct FamilyEntry {
-    describe: String,
-    aliases: Vec<String>,
+/// One built-in family: its base parameters plus listing metadata.
+struct Family {
+    name: &'static str,
+    describe: &'static str,
+    aliases: &'static [&'static str],
+    /// The base description; its `name` is filled from [`Family::name`]
+    /// by [`Family::params`].
     base: FamilyParams,
 }
 
-/// The device-family registry, mirroring the mechanism registry: a
-/// deterministic, name-addressable table of [`FamilyParams`] that
-/// [`FamilySpec`]s resolve against. [`FamilyRegistry::builtin`]
-/// preloads the four standard targets; custom families can be added
-/// with [`FamilyRegistry::register`] (or globally with
-/// [`register_family`]).
-#[derive(Debug, Clone)]
-pub struct FamilyRegistry {
-    entries: Vec<FamilyEntry>,
+impl Family {
+    fn params(&self) -> FamilyParams {
+        FamilyParams {
+            name: self.name.to_string(),
+            ..self.base.clone()
+        }
+    }
 }
 
-impl FamilyRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        Self {
-            entries: Vec::new(),
-        }
-    }
+/// The built-in families, in listing order: the paper's DDR3 device, a
+/// DDR4-2400-style device (4 bank groups), an LPDDR4x-style device (long
+/// `tRCD`, per-bank refresh) and an HBM2-style stack (8 channels × 2
+/// pseudo-channels, small rows).
+static FAMILIES: [Family; 4] = [
+    Family {
+        name: "ddr3",
+        describe: "the paper's Table 1 DDR3 device: ungrouped, all-bank refresh",
+        aliases: &["ddr3-1600"],
+        base: FamilyParams {
+            name: String::new(),
+            bank_groups: 1,
+            banks: 8,
+            ranks: 1,
+            channels: 1,
+            pseudo_channels: 1,
+            rows: 65_536,
+            columns: 128,
+            burst: 8,
+            refresh: RefreshGranularity::AllBank,
+            per_bank_capable: false,
+            retention_ms: 64.0,
+            default_bin: SpeedBin::Ddr3_1600,
+            tccd_l: 0,
+            tccd_s: 0,
+            trrd_l: 0,
+            trrd_s: 0,
+            trfcpb: 0,
+        },
+    },
+    Family {
+        name: "ddr4",
+        describe: "DDR4-2400-style: 4 bank groups with long/short column and activate spacing",
+        aliases: &["ddr4-2400"],
+        base: FamilyParams {
+            name: String::new(),
+            bank_groups: 4,
+            banks: 16,
+            ranks: 1,
+            channels: 1,
+            pseudo_channels: 1,
+            rows: 65_536,
+            columns: 128,
+            burst: 8,
+            refresh: RefreshGranularity::AllBank,
+            per_bank_capable: false,
+            retention_ms: 64.0,
+            default_bin: SpeedBin::Ddr4_2400,
+            tccd_l: 6,
+            tccd_s: 4,
+            trrd_l: 8,
+            trrd_s: 6,
+            trfcpb: 0,
+        },
+    },
+    Family {
+        name: "lpddr4x",
+        describe: "LPDDR4x-style: long tRCD, 2 KB rows, per-bank refresh (tRFCpb)",
+        aliases: &["lpddr4x-3200"],
+        base: FamilyParams {
+            name: String::new(),
+            bank_groups: 1,
+            banks: 8,
+            ranks: 1,
+            channels: 2,
+            pseudo_channels: 1,
+            rows: 65_536,
+            columns: 32,
+            burst: 16,
+            refresh: RefreshGranularity::PerBank,
+            per_bank_capable: true,
+            retention_ms: 32.0,
+            default_bin: SpeedBin::Lpddr4x_3200,
+            tccd_l: 0,
+            tccd_s: 0,
+            trrd_l: 0,
+            trrd_s: 0,
+            trfcpb: 224,
+        },
+    },
+    Family {
+        name: "hbm2",
+        describe: "HBM2-style stack: 8 channels x 2 pseudo-channels, small rows, 4 bank groups",
+        aliases: &["hbm2-1000"],
+        base: FamilyParams {
+            name: String::new(),
+            bank_groups: 4,
+            banks: 16,
+            ranks: 1,
+            channels: 8,
+            pseudo_channels: 2,
+            rows: 16_384,
+            columns: 32,
+            burst: 4,
+            refresh: RefreshGranularity::AllBank,
+            per_bank_capable: true,
+            retention_ms: 32.0,
+            default_bin: SpeedBin::Hbm2_1000,
+            tccd_l: 4,
+            tccd_s: 2,
+            trrd_l: 6,
+            trrd_s: 4,
+            trfcpb: 160,
+        },
+    },
+];
 
-    /// A registry preloaded with the built-in families: the paper's DDR3
-    /// device, a DDR4-2400-style device (4 bank groups), an
-    /// LPDDR4x-style device (long `tRCD`, per-bank refresh) and an
-    /// HBM2-style stack (8 channels × 2 pseudo-channels, small rows).
-    pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register(
-            FamilyParams {
-                name: "ddr3".into(),
-                bank_groups: 1,
-                banks: 8,
-                ranks: 1,
-                channels: 1,
-                pseudo_channels: 1,
-                rows: 65_536,
-                columns: 128,
-                burst: 8,
-                refresh: RefreshGranularity::AllBank,
-                per_bank_capable: false,
-                retention_ms: 64.0,
-                default_bin: SpeedBin::Ddr3_1600,
-                tccd_l: 0,
-                tccd_s: 0,
-                trrd_l: 0,
-                trrd_s: 0,
-                trfcpb: 0,
-            },
-            "the paper's Table 1 DDR3 device: ungrouped, all-bank refresh",
-            &["ddr3-1600"],
-        );
-        r.register(
-            FamilyParams {
-                name: "ddr4".into(),
-                bank_groups: 4,
-                banks: 16,
-                ranks: 1,
-                channels: 1,
-                pseudo_channels: 1,
-                rows: 65_536,
-                columns: 128,
-                burst: 8,
-                refresh: RefreshGranularity::AllBank,
-                per_bank_capable: false,
-                retention_ms: 64.0,
-                default_bin: SpeedBin::Ddr4_2400,
-                tccd_l: 6,
-                tccd_s: 4,
-                trrd_l: 8,
-                trrd_s: 6,
-                trfcpb: 0,
-            },
-            "DDR4-2400-style: 4 bank groups with long/short column and activate spacing",
-            &["ddr4-2400"],
-        );
-        r.register(
-            FamilyParams {
-                name: "lpddr4x".into(),
-                bank_groups: 1,
-                banks: 8,
-                ranks: 1,
-                channels: 2,
-                pseudo_channels: 1,
-                rows: 65_536,
-                columns: 32,
-                burst: 16,
-                refresh: RefreshGranularity::PerBank,
-                per_bank_capable: true,
-                retention_ms: 32.0,
-                default_bin: SpeedBin::Lpddr4x_3200,
-                tccd_l: 0,
-                tccd_s: 0,
-                trrd_l: 0,
-                trrd_s: 0,
-                trfcpb: 224,
-            },
-            "LPDDR4x-style: long tRCD, 2 KB rows, per-bank refresh (tRFCpb)",
-            &["lpddr4x-3200"],
-        );
-        r.register(
-            FamilyParams {
-                name: "hbm2".into(),
-                bank_groups: 4,
-                banks: 16,
-                ranks: 1,
-                channels: 8,
-                pseudo_channels: 2,
-                rows: 16_384,
-                columns: 32,
-                burst: 4,
-                refresh: RefreshGranularity::AllBank,
-                per_bank_capable: true,
-                retention_ms: 32.0,
-                default_bin: SpeedBin::Hbm2_1000,
-                tccd_l: 4,
-                tccd_s: 2,
-                trrd_l: 6,
-                trrd_s: 4,
-                trfcpb: 160,
-            },
-            "HBM2-style stack: 8 channels x 2 pseudo-channels, small rows, 4 bank groups",
-            &["hbm2-1000"],
-        );
-        r
-    }
-
-    /// Registers (or replaces) a family under `base.name`, with listing
-    /// description and alias names.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the name or an alias is not a valid token.
-    pub fn register(&mut self, base: FamilyParams, describe: &str, aliases: &[&str]) {
-        assert!(is_token(&base.name), "invalid family name {:?}", base.name);
-        for a in aliases {
-            assert!(is_token(a), "invalid family alias {a:?}");
-        }
-        let entry = FamilyEntry {
-            describe: describe.to_string(),
-            aliases: aliases.iter().map(|s| s.to_string()).collect(),
-            base,
-        };
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.base.name == entry.base.name)
-        {
-            Some(e) => *e = entry,
-            None => self.entries.push(entry),
-        }
-    }
-
-    /// The canonical family name for `name` (resolving aliases), if
-    /// registered.
-    pub fn canonicalize(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|e| e.base.name == name || e.aliases.iter().any(|a| a == name))
-            .map(|e| e.base.name.as_str())
-    }
-
-    /// `(name, description, base params)` for every registered family,
-    /// in registration order (drives `cc-sim --list-families`).
-    pub fn list(&self) -> Vec<(String, String, FamilyParams)> {
-        self.entries
-            .iter()
-            .map(|e| (e.base.name.clone(), e.describe.clone(), e.base.clone()))
-            .collect()
-    }
-
-    /// Resolves a spec into validated [`FamilyParams`]: the registered
-    /// base with each override applied, then checked by
-    /// [`FamilyParams::validate`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`FamilyError`] for unknown families or keys,
-    /// ill-shaped values, incoherent group spacing, unsupported per-bank
-    /// refresh, or inconsistent geometry.
-    pub fn resolve(&self, spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
-        let Some(canonical) = self.canonicalize(spec.name()) else {
-            return Err(FamilyError::UnknownFamily {
-                name: spec.name().to_string(),
-                known: self
-                    .entries
-                    .iter()
-                    .map(|e| e.base.name.as_str())
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            });
-        };
-        let mut p = self
-            .entries
-            .iter()
-            .find(|e| e.base.name == canonical)
-            .expect("canonicalize returned an unregistered name")
-            .base
-            .clone();
-        for (key, value) in spec.params() {
-            let int = |v: &FamilyValue| -> Result<u32, FamilyError> {
-                match v {
-                    FamilyValue::Int(i) => Ok(*i),
-                    FamilyValue::Token(t) => Err(FamilyError::BadValue {
-                        key: key.clone(),
-                        message: format!("expected an integer, got {t:?}"),
-                    }),
-                }
-            };
-            let small = |v: &FamilyValue| -> Result<u8, FamilyError> {
-                let i = int(v)?;
-                u8::try_from(i).map_err(|_| FamilyError::BadValue {
+/// Resolves a spec into validated [`FamilyParams`]: the built-in family
+/// it names (directly or by alias) with each override applied, then
+/// checked by [`FamilyParams::validate`].
+///
+/// # Errors
+///
+/// Returns a typed [`FamilyError`] for unknown families or keys,
+/// ill-shaped values, incoherent group spacing, unsupported per-bank
+/// refresh, or inconsistent geometry.
+pub fn resolve(spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
+    let name = spec.name();
+    let Some(family) = FAMILIES
+        .iter()
+        .find(|f| f.name == name || f.aliases.contains(&name))
+    else {
+        return Err(FamilyError::UnknownFamily {
+            name: name.to_string(),
+            known: FAMILIES
+                .iter()
+                .map(|f| f.name)
+                .collect::<Vec<_>>()
+                .join(", "),
+        });
+    };
+    let mut p = family.params();
+    for (key, value) in spec.params() {
+        let int = |v: &FamilyValue| -> Result<u32, FamilyError> {
+            match v {
+                FamilyValue::Int(i) => Ok(*i),
+                FamilyValue::Token(t) => Err(FamilyError::BadValue {
                     key: key.clone(),
-                    message: format!("{i} does not fit in 8 bits"),
-                })
-            };
-            match key.as_str() {
-                "bank_groups" => p.bank_groups = small(value)?,
-                "banks" => p.banks = small(value)?,
-                "ranks" => p.ranks = small(value)?,
-                "channels" => p.channels = small(value)?,
-                "pseudo_channels" => p.pseudo_channels = small(value)?,
-                "rows" => p.rows = int(value)?,
-                "columns" => p.columns = int(value)?,
-                "burst" => p.burst = int(value)?,
-                "retention" => p.retention_ms = f64::from(int(value)?),
-                "tccd_l" => p.tccd_l = int(value)?,
-                "tccd_s" => p.tccd_s = int(value)?,
-                "trrd_l" => p.trrd_l = int(value)?,
-                "trrd_s" => p.trrd_s = int(value)?,
-                "trfcpb" => p.trfcpb = int(value)?,
-                "refresh" => {
-                    p.refresh = match value {
-                        FamilyValue::Token(t) if t == "all-bank" => RefreshGranularity::AllBank,
-                        FamilyValue::Token(t) if t == "per-bank" => RefreshGranularity::PerBank,
-                        other => {
-                            return Err(FamilyError::BadValue {
-                                key: key.clone(),
-                                message: format!("expected all-bank or per-bank, got {other}"),
-                            })
-                        }
+                    message: format!("expected an integer, got {t:?}"),
+                }),
+            }
+        };
+        let small = |v: &FamilyValue| -> Result<u8, FamilyError> {
+            let i = int(v)?;
+            u8::try_from(i).map_err(|_| FamilyError::BadValue {
+                key: key.clone(),
+                message: format!("{i} does not fit in 8 bits"),
+            })
+        };
+        match key.as_str() {
+            "bank_groups" => p.bank_groups = small(value)?,
+            "banks" => p.banks = small(value)?,
+            "ranks" => p.ranks = small(value)?,
+            "channels" => p.channels = small(value)?,
+            "pseudo_channels" => p.pseudo_channels = small(value)?,
+            "rows" => p.rows = int(value)?,
+            "columns" => p.columns = int(value)?,
+            "burst" => p.burst = int(value)?,
+            "retention" => p.retention_ms = f64::from(int(value)?),
+            "tccd_l" => p.tccd_l = int(value)?,
+            "tccd_s" => p.tccd_s = int(value)?,
+            "trrd_l" => p.trrd_l = int(value)?,
+            "trrd_s" => p.trrd_s = int(value)?,
+            "trfcpb" => p.trfcpb = int(value)?,
+            "refresh" => {
+                p.refresh = match value {
+                    FamilyValue::Token(t) if t == "all-bank" => RefreshGranularity::AllBank,
+                    FamilyValue::Token(t) if t == "per-bank" => RefreshGranularity::PerBank,
+                    other => {
+                        return Err(FamilyError::BadValue {
+                            key: key.clone(),
+                            message: format!("expected all-bank or per-bank, got {other}"),
+                        })
                     }
                 }
-                other => {
-                    return Err(FamilyError::UnknownKey {
-                        family: canonical.to_string(),
-                        key: other.to_string(),
-                        known: FAMILY_KEYS.join(", "),
-                    })
-                }
+            }
+            other => {
+                return Err(FamilyError::UnknownKey {
+                    family: family.name.to_string(),
+                    key: other.to_string(),
+                    known: FAMILY_KEYS.join(", "),
+                })
             }
         }
-        p.validate()?;
-        Ok(p)
     }
+    p.validate()?;
+    Ok(p)
 }
 
-impl Default for FamilyRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-fn global() -> &'static RwLock<FamilyRegistry> {
-    static GLOBAL: OnceLock<RwLock<FamilyRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(FamilyRegistry::builtin()))
-}
-
-/// Registers a family in the process-wide registry (replacing any prior
-/// family of the same name).
-pub fn register_family(base: FamilyParams, describe: &str, aliases: &[&str]) {
-    global()
-        .write()
-        .expect("family registry poisoned")
-        .register(base, describe, aliases);
-}
-
-/// Runs `f` with read access to the process-wide registry.
-pub fn with_registry<R>(f: impl FnOnce(&FamilyRegistry) -> R) -> R {
-    f(&global().read().expect("family registry poisoned"))
-}
-
-/// Resolves a spec against the process-wide registry.
+/// Validates a spec without keeping the resolution.
 ///
 /// # Errors
 ///
-/// See [`FamilyRegistry::resolve`].
-pub fn resolve(spec: &FamilySpec) -> Result<FamilyParams, FamilyError> {
-    with_registry(|r| r.resolve(spec))
-}
-
-/// Validates a spec against the process-wide registry without keeping
-/// the resolution.
-///
-/// # Errors
-///
-/// See [`FamilyRegistry::resolve`].
+/// See [`resolve`].
 pub fn validate_spec(spec: &FamilySpec) -> Result<(), FamilyError> {
     resolve(spec).map(|_| ())
 }
 
-/// `(name, description, base params)` for every family in the
-/// process-wide registry.
+/// `(name, description, base params)` for every built-in family, in
+/// listing order (drives `cc-sim --list-families`).
 pub fn list_families() -> Vec<(String, String, FamilyParams)> {
-    with_registry(FamilyRegistry::list)
+    FAMILIES
+        .iter()
+        .map(|f| (f.name.to_string(), f.describe.to_string(), f.params()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -772,10 +685,7 @@ mod tests {
     fn aliases_canonicalize() {
         let spec: FamilySpec = "ddr4-2400".parse().unwrap();
         assert_eq!(resolve(&spec).unwrap().name, "ddr4");
-        assert_eq!(
-            with_registry(|r| r.canonicalize("hbm2-1000").map(str::to_string)),
-            Some("hbm2".into())
-        );
+        assert_eq!(resolve(&"hbm2-1000".parse().unwrap()).unwrap().name, "hbm2");
     }
 
     #[test]

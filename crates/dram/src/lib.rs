@@ -68,8 +68,7 @@ pub use command::{BankLoc, Command, CommandKind, RankLoc, RowId};
 pub use config::{DramConfig, Organization};
 pub use error::IssueError;
 pub use family::{
-    FamilyError, FamilyParams, FamilyRegistry, FamilySpec, FamilyValue, RefreshGranularity,
-    FAMILY_KEYS,
+    FamilyError, FamilyParams, FamilySpec, FamilyValue, RefreshGranularity, FAMILY_KEYS,
 };
 pub use rank::Rank;
 pub use spec::{is_token, Spec, SpecValue, TimingSpec, TimingValue, TIMING_KEYS};

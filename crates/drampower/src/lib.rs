@@ -103,34 +103,12 @@ impl EnergyBreakdown {
 pub struct EnergyModel {
     idd: IddParams,
     cfg: DramConfig,
-    /// Precharge-power-down estimation: command-free rank gaps longer
-    /// than this many cycles are billed at `IDD2P` instead of `IDD2N`
-    /// (minus a fixed entry/exit overhead). `None` disables it.
-    power_down_after: Option<u64>,
-    /// Precharge power-down current in mA (IDD2P).
-    idd2p_ma: f64,
 }
 
 impl EnergyModel {
     /// Creates the model with explicit IDD parameters.
     pub fn new(idd: IddParams, cfg: DramConfig) -> Self {
-        Self {
-            idd,
-            cfg,
-            power_down_after: None,
-            idd2p_ma: 12.0,
-        }
-    }
-
-    /// Enables precharge-power-down estimation: any rank-idle gap longer
-    /// than `threshold_cycles` is billed at the power-down current, minus
-    /// a fixed `tXP`-style wake overhead. This post-processes the command
-    /// log the way fast DRAM power estimators do, without changing the
-    /// timing model.
-    pub fn with_power_down(mut self, threshold_cycles: u64) -> Self {
-        assert!(threshold_cycles > 0, "threshold must be non-zero");
-        self.power_down_after = Some(threshold_cycles);
-        self
+        Self { idd, cfg }
     }
 
     /// The standard model for the paper's configuration.
@@ -215,49 +193,7 @@ impl EnergyModel {
                 CommandKind::Pre | CommandKind::PreAll => {}
             }
         }
-
-        // Optional precharge power-down: re-bill long idle gaps.
-        if let Some(threshold) = self.power_down_after {
-            let saved_ma = self.idd.idd2n_ma - self.idd2p_ma;
-            if saved_ma > 0.0 {
-                let mut pd_cycles = 0u64;
-                let wake_overhead = 10u64; // tXP-class entry/exit cost
-                let mut last: std::collections::HashMap<(u8, u8), u64> =
-                    std::collections::HashMap::new();
-                for rec in log {
-                    let prev = last.insert((rec.channel, rec.rank), rec.at);
-                    let gap = rec.at - prev.unwrap_or(0);
-                    if gap > threshold {
-                        pd_cycles += gap - wake_overhead.min(gap);
-                    }
-                }
-                for (_, at) in last {
-                    let gap = total_cycles.saturating_sub(at);
-                    if gap > threshold {
-                        pd_cycles += gap - wake_overhead.min(gap);
-                    }
-                }
-                // A rank never seen in the log idles the whole run.
-                let seen = log
-                    .iter()
-                    .map(|r| (r.channel, r.rank))
-                    .collect::<std::collections::HashSet<_>>()
-                    .len() as u64;
-                pd_cycles += ranks.saturating_sub(seen) * total_cycles;
-                out.background_pj -= saved_ma * pd_cycles as f64 * tck * scale;
-            }
-        }
         out
-    }
-
-    /// Average power in milliwatts for a run of `total_cycles`.
-    pub fn avg_power_mw(&self, log: &[CommandRecord], total_cycles: u64) -> f64 {
-        if total_cycles == 0 {
-            return 0.0;
-        }
-        let e = self.energy(log, total_cycles);
-        // pJ / ns = mW.
-        e.total_pj() / (total_cycles as f64 * self.cfg.timing.tck_ns)
     }
 }
 
@@ -340,40 +276,5 @@ mod tests {
         let short = m.energy(&log, 10_000).total_pj();
         let long = m.energy(&log, 20_000).total_pj();
         assert!(long > short);
-    }
-
-    #[test]
-    fn power_down_reduces_idle_energy() {
-        let base = model();
-        let pd = model().with_power_down(1_000);
-        // One command, then a long idle tail.
-        let log = vec![rec(0, CommandKind::Act), rec(100, CommandKind::Pre)];
-        let e_base = base.energy(&log, 1_000_000);
-        let e_pd = pd.energy(&log, 1_000_000);
-        assert!(e_pd.background_pj < e_base.background_pj);
-        // Non-idle energies unchanged.
-        assert_eq!(e_pd.activate_pj, e_base.activate_pj);
-    }
-
-    #[test]
-    fn power_down_ignores_short_gaps() {
-        let pd = model().with_power_down(1_000);
-        let base = model();
-        // Commands every 500 cycles: no gap exceeds the threshold, except
-        // the tail — truncate the run right after the last command.
-        let log: Vec<CommandRecord> = (0..10).map(|i| rec(i * 500, CommandKind::Act)).collect();
-        let a = pd.energy(&log, 4_600);
-        let b = base.energy(&log, 4_600);
-        assert!((a.background_pj - b.background_pj).abs() < 1e-9);
-    }
-
-    #[test]
-    fn avg_power_is_time_normalized() {
-        let m = model();
-        let p1 = m.avg_power_mw(&[], 1_000);
-        let p2 = m.avg_power_mw(&[], 100_000);
-        assert!((p1 - p2).abs() < 1e-9);
-        // Idle power = IDD2N × VDD × devices = 32 mA × 1.5 V × 8 = 384 mW.
-        assert!((p1 - 384.0).abs() < 1e-9);
     }
 }

@@ -106,21 +106,54 @@ impl CtrlStats {
 
     /// Element-wise accumulation.
     pub fn absorb(&mut self, o: &CtrlStats) {
-        self.reads += o.reads;
-        self.writes += o.writes;
-        self.forwarded_reads += o.forwarded_reads;
-        self.row_hits += o.row_hits;
-        self.row_misses += o.row_misses;
-        self.row_conflicts += o.row_conflicts;
-        self.refreshes += o.refreshes;
-        self.read_latency_sum += o.read_latency_sum;
-        self.read_latency_count += o.read_latency_count;
-        for (a, b) in self.read_latency_hist.iter_mut().zip(&o.read_latency_hist) {
-            *a += b;
+        self.zip_with(o, |a, b| *a += b);
+    }
+
+    /// Subtracts `o`'s counters from these (the measured window of a run
+    /// is its end state minus its warmup snapshot).
+    pub fn subtract(&mut self, o: &CtrlStats) {
+        self.zip_with(o, |a, b| *a -= b);
+    }
+
+    /// Applies `f` to every counter paired with the same counter of `o`.
+    /// The one field list of [`CtrlStats::absorb`] and
+    /// [`CtrlStats::subtract`]: it is destructured, so a new field fails
+    /// to compile until it is listed here.
+    fn zip_with(&mut self, o: &CtrlStats, f: impl Fn(&mut u64, u64)) {
+        let CtrlStats {
+            reads,
+            writes,
+            forwarded_reads,
+            row_hits,
+            row_misses,
+            row_conflicts,
+            refreshes,
+            read_latency_sum,
+            read_latency_count,
+            read_latency_hist,
+            sched_passes,
+            sched_bank_visits,
+            index_release_misses,
+        } = self;
+        for (a, b) in [
+            (reads, o.reads),
+            (writes, o.writes),
+            (forwarded_reads, o.forwarded_reads),
+            (row_hits, o.row_hits),
+            (row_misses, o.row_misses),
+            (row_conflicts, o.row_conflicts),
+            (refreshes, o.refreshes),
+            (read_latency_sum, o.read_latency_sum),
+            (read_latency_count, o.read_latency_count),
+            (sched_passes, o.sched_passes),
+            (sched_bank_visits, o.sched_bank_visits),
+            (index_release_misses, o.index_release_misses),
+        ] {
+            f(a, b);
         }
-        self.sched_passes += o.sched_passes;
-        self.sched_bank_visits += o.sched_bank_visits;
-        self.index_release_misses += o.index_release_misses;
+        for (a, b) in read_latency_hist.iter_mut().zip(&o.read_latency_hist) {
+            f(a, *b);
+        }
     }
 
     /// Mean bank evaluations per scheduler pass — the per-pass scan cost
@@ -186,6 +219,37 @@ mod tests {
         assert_eq!(a.reads, 4);
         assert_eq!(a.row_hits, 6);
         assert_eq!(a.refreshes, 1);
+    }
+
+    #[test]
+    fn absorb_then_subtract_round_trips() {
+        // Exhaustive on purpose (no `..Default`): a new field fails to
+        // compile here until it gets a non-zero value the round trip
+        // covers.
+        let base = CtrlStats {
+            reads: 1,
+            writes: 2,
+            forwarded_reads: 3,
+            row_hits: 4,
+            row_misses: 5,
+            row_conflicts: 6,
+            refreshes: 7,
+            read_latency_sum: 8,
+            read_latency_count: 9,
+            read_latency_hist: std::array::from_fn(|i| 10 + i as u64),
+            sched_passes: 26,
+            sched_bank_visits: 27,
+            index_release_misses: 28,
+        };
+        let mut sum = base;
+        sum.absorb(&base);
+        assert_eq!(sum.reads, 2);
+        assert_eq!(sum.read_latency_hist[15], 50);
+        assert_eq!(sum.index_release_misses, 56);
+        sum.subtract(&base);
+        assert_eq!(sum, base);
+        sum.subtract(&base);
+        assert_eq!(sum, CtrlStats::default());
     }
 
     #[test]

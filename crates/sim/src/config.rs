@@ -378,6 +378,24 @@ mod tests {
     }
 
     #[test]
+    fn family_configs_are_valid() {
+        for (name, _, fam) in dram::family::list_families() {
+            let c = SystemConfig::paper_single_core(MechanismSpec::baseline())
+                .with_family(name.parse().unwrap())
+                .unwrap();
+            c.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(c.dram.refresh, fam.refresh);
+        }
+    }
+
+    #[test]
+    fn ddr3_family_config_matches_paper_config() {
+        let a = SystemConfig::paper_single_core(MechanismSpec::baseline());
+        let b = a.clone().with_family("ddr3".parse().unwrap()).unwrap();
+        assert_eq!(b.dram, a.dram);
+    }
+
+    #[test]
     fn drifted_refresh_granularity_fails_validation() {
         let mut c = SystemConfig::paper_single_core(MechanismSpec::baseline());
         c.dram.refresh = dram::RefreshGranularity::PerBank;

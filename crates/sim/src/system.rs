@@ -470,7 +470,7 @@ impl System {
             cores.push(s);
         }
         let mut ctrl = self.mem.stats();
-        ctrl_sub(&mut ctrl, &warm.ctrl);
+        ctrl.subtract(&warm.ctrl);
         let mut mech = self.mem.mech_report();
         mech.subtract(&warm.mech);
         let log = self.mem.device_mut().take_log();
@@ -544,24 +544,6 @@ impl_state!(Snapshot {
     ctrl,
     mech
 });
-
-fn ctrl_sub(a: &mut memctrl::CtrlStats, b: &memctrl::CtrlStats) {
-    a.reads -= b.reads;
-    a.writes -= b.writes;
-    a.forwarded_reads -= b.forwarded_reads;
-    a.row_hits -= b.row_hits;
-    a.row_misses -= b.row_misses;
-    a.row_conflicts -= b.row_conflicts;
-    a.refreshes -= b.refreshes;
-    a.read_latency_sum -= b.read_latency_sum;
-    a.read_latency_count -= b.read_latency_count;
-    for (x, y) in a.read_latency_hist.iter_mut().zip(&b.read_latency_hist) {
-        *x -= y;
-    }
-    a.sched_passes -= b.sched_passes;
-    a.sched_bank_visits -= b.sched_bank_visits;
-    a.index_release_misses -= b.index_release_misses;
-}
 
 /// Resolves one core memory access against the LLC and memory system.
 #[allow(clippy::too_many_arguments)]

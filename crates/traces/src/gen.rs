@@ -115,53 +115,6 @@ impl TraceSource for StreamGen {
     }
 }
 
-/// Fixed-stride walk over a working set (GUPS/stencil-style patterns).
-///
-/// A stride equal to the row size hops rows within a bank (worst case for
-/// row-buffer locality); a stride equal to the line size degenerates to a
-/// single stream.
-#[derive(Debug, Clone)]
-pub struct StridedGen {
-    params: GenParams,
-    rng: TraceRng,
-    cursor: u64,
-    stride: u64,
-    span: u64,
-}
-
-impl StridedGen {
-    /// Creates a generator stepping `stride` bytes per access over a
-    /// `span`-byte working set (wrapping).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero or `span < stride`.
-    pub fn new(params: GenParams, stride: u64, span: u64) -> Self {
-        assert!(stride > 0, "stride must be non-zero");
-        assert!(span >= stride, "span must cover at least one stride");
-        Self {
-            rng: TraceRng::seed_from_u64(params.seed),
-            cursor: 0,
-            stride,
-            span,
-            params,
-        }
-    }
-}
-
-impl TraceSource for StridedGen {
-    fn next_entry(&mut self) -> Option<TraceEntry> {
-        let addr = self.params.region_base + self.cursor;
-        self.cursor = (self.cursor + self.stride) % self.span;
-        let nonmem = sample_nonmem(&mut self.rng, self.params.mean_nonmem);
-        let op = op_for(&mut self.rng, self.params.store_ratio, addr);
-        Some(TraceEntry {
-            nonmem,
-            op: Some(op),
-        })
-    }
-}
-
 /// Uniform random lines over a working set.
 #[derive(Debug, Clone)]
 pub struct RandomGen {
@@ -344,18 +297,6 @@ mod tests {
         assert_eq!(addr(&es[3]) - addr(&es[1]), LINE);
         // Streams are far apart.
         assert!(addr(&es[1]) >= 1 << 30);
-    }
-
-    #[test]
-    fn strided_walk_wraps_and_steps() {
-        let mut p = GenParams::new(1);
-        p.store_ratio = 0.0;
-        let mut g = StridedGen::new(p, 8192, 3 * 8192);
-        let addrs: Vec<u64> = collect(&mut g, 4)
-            .iter()
-            .map(|e| e.op.unwrap().addr())
-            .collect();
-        assert_eq!(addrs, vec![0, 8192, 16384, 0]);
     }
 
     #[test]

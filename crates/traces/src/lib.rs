@@ -28,7 +28,7 @@ pub mod profile;
 pub mod rng;
 
 pub use file::FileTrace;
-pub use gen::{GenParams, MixGen, RandomGen, StreamGen, StridedGen, ZipfGen};
+pub use gen::{GenParams, MixGen, RandomGen, StreamGen, ZipfGen};
 pub use profile::{
     eight_core_mixes, single_core_workloads, workload, MixSpec, Pattern, WorkloadSpec,
 };

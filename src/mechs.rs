@@ -48,10 +48,10 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use bitline::derive::CycleQuantized;
+use chargecache::spec::cc_config_from;
 use chargecache::{
-    registry, ChargeCache, ChargeCacheConfig, InvalidationPolicy, LatencyMechanism,
-    MechanismContext, MechanismFactory, MechanismSpec, ParamValue, RowKey, StatSink, C_ACTIVATES,
-    C_REDUCED,
+    registry, ChargeCache, ChargeCacheConfig, LatencyMechanism, MechanismContext, MechanismFactory,
+    MechanismSpec, ParamValue, RowKey, StatSink, C_ACTIVATES, C_REDUCED,
 };
 use dram::{ActTimings, BusCycle, TimingParams};
 
@@ -243,7 +243,7 @@ impl MechanismFactory for RefreshCcFactory {
     }
     fn validate(&self, spec: &MechanismSpec) -> Result<(), String> {
         spec.ensure_known_keys(REFRESH_CC_KEYS)?;
-        self.config_from(spec, 1.25).map(|_| ())
+        cc_config_from(spec, 1.25).map(|_| ())
     }
     fn build(
         &self,
@@ -251,40 +251,11 @@ impl MechanismFactory for RefreshCcFactory {
         ctx: &MechanismContext,
     ) -> Result<Box<dyn LatencyMechanism>, String> {
         spec.ensure_known_keys(REFRESH_CC_KEYS)?;
-        let cfg = self.config_from(spec, ctx.timing.tck_ns)?;
+        let cfg = cc_config_from(spec, ctx.timing.tck_ns)?;
         if ctx.cores == 0 {
             return Err("need at least one core".into());
         }
         Ok(Box::new(RefreshCc::new(cfg, ctx.timing, ctx.cores)))
-    }
-}
-
-impl RefreshCcFactory {
-    fn config_from(&self, spec: &MechanismSpec, tck_ns: f64) -> Result<ChargeCacheConfig, String> {
-        let duration_ms = spec.duration_ms_param("duration", 1.0)?;
-        if !(duration_ms.is_finite() && duration_ms > 0.0) {
-            return Err("caching duration must be positive".into());
-        }
-        let invalidation = match spec.str_param("invalidation", "periodic")?.as_str() {
-            "periodic" => InvalidationPolicy::Periodic,
-            "exact" => InvalidationPolicy::Exact,
-            other => {
-                return Err(format!(
-                    "invalidation must be \"periodic\" or \"exact\", got {other:?}"
-                ))
-            }
-        };
-        let cfg = ChargeCacheConfig {
-            entries_per_core: spec.usize_param("entries", 128)?,
-            ways: spec.usize_param("ways", 2)?,
-            duration_ms,
-            reductions: CycleQuantized::for_duration_ms(duration_ms, tck_ns),
-            invalidation,
-            shared: true,
-            unlimited: false,
-        };
-        cfg.validate()?;
-        Ok(cfg)
     }
 }
 

@@ -402,6 +402,77 @@ fn killed_after_every_checkpoint_store_resumes_byte_identical() {
     );
 }
 
+/// The payload of the single checkpoint a killed run left in `dir`.
+fn left_payload(dir: &Path) -> Vec<u8> {
+    let ckpt = fs::read_dir(dir)
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "ckpt"))
+        .expect("the killed run left its checkpoint");
+    let key = u128::from_str_radix(ckpt.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+    CheckpointStore::new(dir)
+        .load(key)
+        .expect("checkpoint verifies")
+}
+
+/// The warmup-phase variant of the kill-anywhere test: a warmup longer
+/// than the checkpoint interval stores phase-0 checkpoints (run-driver
+/// position, no warmup snapshot), and every kill — in the warmup or the
+/// measured phase — resumes to byte-identical JSON. The first phase-0
+/// payload is pinned like the phase-1 one below.
+#[test]
+fn killed_after_every_warmup_checkpoint_store_resumes_byte_identical() {
+    let warm = ["--warmup", "2500"];
+    let golden = cc_sim(&[&warm[..], &["--no-cache"]].concat())
+        .output()
+        .expect("cc-sim runs");
+    assert!(golden.status.success(), "golden run failed: {golden:?}");
+
+    let mut phases = Vec::new();
+    for k in 1u32.. {
+        assert!(k <= 16, "more checkpoint boundaries than plausible");
+        let dir = tmp_dir(&format!("warm-exit-{k}"));
+        let dir_s = dir.to_str().unwrap().to_string();
+        let flags = [
+            &warm[..],
+            &["--cache-dir", &dir_s, "--checkpoint-interval", "1000"],
+        ]
+        .concat();
+
+        let out = cc_sim(&flags)
+            .env("CC_FAULT_INJECTION", format!("ckpt-exit={k}"))
+            .output()
+            .expect("cc-sim runs");
+        if out.status.success() {
+            assert_eq!(out.stdout, golden.stdout);
+            let _ = fs::remove_dir_all(&dir);
+            break;
+        }
+        assert_eq!(out.status.code(), Some(86), "kill #{k}: {out:?}");
+        let payload = left_payload(&dir);
+        if k == 1 {
+            assert_eq!(
+                (payload.len(), checksum_64(&payload)),
+                (1_255_667, 0xdf09_2374_54d9_3b7e)
+            );
+        }
+        phases.push(payload[0]);
+
+        let resumed = cc_sim(&flags).output().expect("cc-sim runs");
+        assert!(resumed.status.success(), "resume #{k} failed: {resumed:?}");
+        assert_eq!(
+            resumed.stdout, golden.stdout,
+            "resume after kill #{k} diverged from the uninterrupted run"
+        );
+        let err = String::from_utf8_lossy(&resumed.stderr);
+        assert!(err.contains("resumed=1"), "resume #{k} stderr: {err}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+    // Stores after 1000 and 2000 warmup instructions, then 3 measured.
+    assert_eq!(phases, [0, 0, 1, 1, 1]);
+}
+
 /// A real SIGKILL mid-cell: wait for the first checkpoint to land, kill
 /// the process, and the rerun against the same directory produces JSON
 /// byte-identical to an uninterrupted run.
