@@ -1,7 +1,7 @@
 //! Shared last-level cache: set-associative, LRU, write-back,
 //! write-allocate (without fetch for stores).
 
-use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+use fasthash::codec::{put_u32, put_usize, take_len, take_u32, take_usize, CodecResult, State};
 use fasthash::impl_state;
 
 /// LLC configuration.
@@ -257,12 +257,8 @@ impl Llc {
     }
 }
 
-impl_state!(Line {
-    tag,
-    valid,
-    dirty,
-    stamp
-});
+// A valid line on the wire: `valid` is implied by its position.
+impl_state!(Line { tag, dirty, stamp });
 
 impl_state!(LlcStats {
     read_accesses,
@@ -273,19 +269,62 @@ impl_state!(LlcStats {
     writebacks
 });
 
+/// Encoded size of a non-empty set with one line: index, count, line.
+const MIN_SET_BYTES: usize = 4 + 8 + <Line as State>::MIN_BYTES;
+
 /// The cache's complete mutable state (checkpoint support). Geometry is
 /// not serialized — it is reconstructed from the config.
+///
+/// Lines never become invalid and `allocate` takes the first
+/// invalid way, so each set's valid lines are a prefix of its ways. Only
+/// non-empty sets are written, in ascending order, each as its `u32`
+/// index, its valid-way count and those ways' lines; every other line
+/// decodes to `Line::default()`, exactly what it was.
 impl State for Llc {
     fn put(&self, out: &mut Vec<u8>) {
-        put_slice(out, &self.lines);
+        let ways = self.cfg.ways;
+        put_usize(out, self.lines.len());
+        let sets = self.lines.chunks_exact(ways);
+        put_usize(out, sets.clone().filter(|s| s[0].valid).count());
+        for (index, set) in sets.enumerate() {
+            let n = set.iter().take_while(|l| l.valid).count();
+            debug_assert!(!set[n..].iter().any(|l| l.valid));
+            if n > 0 {
+                put_u32(out, u32::try_from(index).expect("set index fits u32"));
+                put_usize(out, n);
+                set[..n].iter().for_each(|l| l.put(out));
+            }
+        }
         self.stamp.put(out);
         self.stats.put(out);
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
-        load_slice(input, &mut self.lines, |n, have| {
-            format!("llc geometry mismatch: checkpoint has {n} lines, cache has {have}")
-        })?;
+        let n = take_usize(input, "llc lines")?;
+        if n != self.lines.len() {
+            return Err(format!(
+                "llc geometry mismatch: checkpoint has {n} lines, cache has {}",
+                self.lines.len()
+            ));
+        }
+        self.lines.fill(Line::default());
+        let ways = self.cfg.ways;
+        let mut next = 0;
+        for _ in 0..take_len(input, MIN_SET_BYTES, "llc sets")? {
+            let index = take_u32(input, "llc set index")? as usize;
+            if index < next || index >= self.sets {
+                return Err(format!("llc set index {index} out of order or range"));
+            }
+            next = index + 1;
+            let n = take_len(input, Line::MIN_BYTES, "llc set lines")?;
+            if n == 0 || n > ways {
+                return Err(format!("llc set {index} has {n} lines of {ways} ways"));
+            }
+            for line in &mut self.lines[index * ways..index * ways + n] {
+                line.valid = true;
+                line.load(input)?;
+            }
+        }
         self.stamp.load(input)?;
         self.stats.load(input)
     }
@@ -376,6 +415,132 @@ mod tests {
     fn line_alignment() {
         let c = small();
         assert_eq!(c.line_of(0x1234), 0x1200);
+    }
+
+    fn encode(c: &Llc) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.put(&mut out);
+        out
+    }
+
+    /// Drives `c` with `ops` pseudo-random accesses over four times its
+    /// capacity: reads (filled on a miss) and writes. Returns each
+    /// access's outcome with the eviction its fill caused.
+    fn churn(c: &mut Llc, ops: usize, seed: u64) -> Vec<(LlcOutcome, Option<u64>)> {
+        let lines = c.config().capacity_bytes / c.config().line_bytes;
+        let mut x = seed;
+        (0..ops)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let addr = ((x >> 20) % (4 * lines)) * c.config().line_bytes;
+                if x >> 63 == 0 {
+                    (c.write(addr), None)
+                } else {
+                    let outcome = c.read(addr);
+                    let evicted = match outcome {
+                        LlcOutcome::Miss { .. } => c.fill(addr),
+                        LlcOutcome::Hit => None,
+                    };
+                    (outcome, evicted)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn state_round_trips_at_every_fill_level() {
+        let sixteen_way = LlcConfig {
+            capacity_bytes: 64 << 10,
+            ways: 16,
+            line_bytes: 64,
+            hit_latency: 20,
+        };
+        for cfg in [*small().config(), sixteen_way] {
+            let lines = cfg.sets() * cfg.ways;
+            // Empty, partial, and full with dirty evictions.
+            for ops in [0, 7, 20 * lines] {
+                let mut src = Llc::new(cfg);
+                churn(&mut src, ops, 1);
+                if ops > lines {
+                    assert!(src.lines.iter().all(|l| l.valid));
+                    assert!(src.stats().writebacks > 0);
+                }
+                let bytes = encode(&src);
+                // The receiver holds other lines: full under a sparse
+                // source, half full under a full one.
+                let other = if ops > lines { lines / 2 } else { 5 * lines };
+                let mut dst = Llc::new(cfg);
+                churn(&mut dst, other, 99);
+                let mut cur = bytes.as_slice();
+                dst.load(&mut cur).unwrap();
+                assert!(cur.is_empty());
+                assert_eq!(encode(&dst), bytes, "{cfg:?} after {ops} accesses");
+                assert_eq!(churn(&mut dst, 3 * lines, 7), churn(&mut src, 3 * lines, 7));
+                assert_eq!(dst.stats(), src.stats());
+                assert_eq!(encode(&dst), encode(&src));
+            }
+        }
+    }
+
+    #[test]
+    fn state_size_follows_valid_lines() {
+        let mut c = Llc::new(LlcConfig::paper_4mb());
+        let lines = c.lines.len() as u64;
+        // Line count, set count, stamp and stats, then one set: index,
+        // count and a 17-byte line.
+        assert_eq!(encode(&c).len(), 8 + 8 + 8 + 48);
+        c.fill(0x40);
+        assert_eq!(encode(&c).len(), 8 + 8 + (4 + 8 + 17) + 8 + 48);
+        // Full, with evictions: no larger than the dense layout.
+        for i in 0..lines + 100 {
+            c.write(i * 64);
+        }
+        assert!(c.lines.iter().all(|l| l.valid));
+        assert!(encode(&c).len() <= 8 + 18 * lines as usize + 8 + 48);
+    }
+
+    #[test]
+    fn corrupt_set_framing_is_rejected() {
+        // `small()`: 64 sets of 2 ways.
+        let payload = |sets: &[(u32, usize)]| {
+            let mut out = Vec::new();
+            put_usize(&mut out, 128);
+            put_usize(&mut out, sets.len());
+            for &(index, n) in sets {
+                put_u32(&mut out, index);
+                put_usize(&mut out, n);
+                for tag in 0..n as u64 {
+                    Line {
+                        tag,
+                        valid: true,
+                        dirty: false,
+                        stamp: tag + 1,
+                    }
+                    .put(&mut out);
+                }
+            }
+            5u64.put(&mut out);
+            LlcStats::default().put(&mut out);
+            out
+        };
+        let load = |bytes: Vec<u8>| small().load(&mut bytes.as_slice());
+        load(payload(&[(3, 2), (63, 1)])).unwrap();
+        for (sets, why) in [
+            (&[(3, 3)][..], "count above ways"),
+            (&[(3, 0)], "empty set"),
+            (&[(64, 1)], "index out of range"),
+            (&[(5, 1), (3, 1)], "index out of order"),
+            (&[(5, 1), (5, 1)], "index repeated"),
+        ] {
+            assert!(load(payload(sets)).is_err(), "{why} decoded");
+        }
+        // The geometry check stays.
+        let err = Llc::new(LlcConfig::paper_4mb())
+            .load(&mut payload(&[]).as_slice())
+            .unwrap_err();
+        assert!(err.contains("geometry mismatch"), "{err}");
     }
 
     #[test]

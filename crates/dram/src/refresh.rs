@@ -21,7 +21,7 @@
 //! simulated time, grossly inflating the "recently refreshed" fraction
 //! that Figure 3 and NUAT depend on.
 
-use fasthash::codec::{load_slice, CodecResult, State};
+use fasthash::codec::{put_usize, take_i64, take_len, CodecResult, State};
 
 use crate::command::RowId;
 use crate::BusCycle;
@@ -91,7 +91,7 @@ impl RefreshState {
         }
         let mut last_refresh = vec![0i64; bins as usize];
         for (pos, &bin) in order.iter().enumerate() {
-            last_refresh[bin as usize] = -(i64::from(bins - pos as u32) * trefi as i64);
+            last_refresh[bin as usize] = initial_refresh(bins, pos, trefi);
         }
         Self {
             bins,
@@ -131,6 +131,12 @@ impl RefreshState {
         self.issued
     }
 
+    /// Bins refreshed since construction: the first this many positions
+    /// of the visit order.
+    fn touched_bins(&self) -> usize {
+        self.issued.min(u64::from(self.bins)) as usize
+    }
+
     /// The bin covering `row`.
     pub fn bin_of(&self, row: RowId) -> u32 {
         (row / self.rows_per_ref).min(self.bins - 1)
@@ -167,23 +173,58 @@ impl RefreshState {
     }
 }
 
+/// Last refresh time, at construction, of the bin at visit position
+/// `pos`: `(bins − pos) × tREFI` before time zero.
+fn initial_refresh(bins: u32, pos: usize, trefi: BusCycle) -> i64 {
+    -(i64::from(bins - pos as u32) * trefi as i64)
+}
+
 /// The schedule's mutable state (checkpoint support). The visit order is
 /// reconstructed from the fixed seed, not serialized.
+///
+/// Only [`RefreshState::apply_ref`] writes a bin's time, visiting the
+/// order from position 0 and never resetting `issued`, so the bins that
+/// differ from their constructor age are exactly the first
+/// `min(issued, bins)` positions of the visit order. Only those times are
+/// written, in visit order; every other bin decodes to its constructor
+/// age, exactly what it was.
 impl State for RefreshState {
     fn put(&self, out: &mut Vec<u8>) {
         self.next_pos.put(out);
-        self.last_refresh.put(out);
         self.due_at.put(out);
         self.issued.put(out);
+        let touched = self.touched_bins();
+        put_usize(out, touched);
+        for &bin in &self.order[..touched] {
+            self.last_refresh[bin as usize].put(out);
+        }
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
         self.next_pos.load(input)?;
-        load_slice(input, &mut self.last_refresh, |n, have| {
-            format!("refresh bin mismatch: checkpoint has {n}, schedule has {have}")
-        })?;
         self.due_at.load(input)?;
-        self.issued.load(input)
+        self.issued.load(input)?;
+        if u64::from(self.next_pos) != self.issued % u64::from(self.bins) {
+            return Err(format!(
+                "refresh position {} disagrees with {} REFs over {} bins",
+                self.next_pos, self.issued, self.bins
+            ));
+        }
+        let touched = take_len(input, i64::MIN_BYTES, "refreshed bins")?;
+        if touched != self.touched_bins() {
+            return Err(format!(
+                "refresh bin mismatch: checkpoint has {touched} refreshed bins, {} REFs over {} bins",
+                self.issued, self.bins
+            ));
+        }
+        for (pos, &bin) in self.order.iter().enumerate() {
+            self.last_refresh[bin as usize] = if pos < touched {
+                take_i64(input, "refresh time")?
+            } else {
+                initial_refresh(self.bins, pos, self.trefi)
+            };
+        }
+        Ok(())
     }
 }
 
@@ -289,6 +330,59 @@ mod tests {
         r.apply_ref(25);
         // The period stays tREFI; only the phase shifted.
         assert_eq!(r.due_at(), 125);
+    }
+
+    /// An 8-bin schedule (identity or default permutation) after `refs`
+    /// REFs, each issued a little later than due.
+    fn after_refs(permute: bool, refs: u64) -> RefreshState {
+        let mut r = RefreshState::with_order(8, 4, 100, permute);
+        for i in 0..refs {
+            r.apply_ref((i + 1) * 100 + 3 * i);
+        }
+        r
+    }
+
+    fn encode(r: &RefreshState) -> Vec<u8> {
+        let mut out = Vec::new();
+        r.put(&mut out);
+        out
+    }
+
+    #[test]
+    fn state_round_trips_across_a_wrap() {
+        for permute in [false, true] {
+            for refs in [0, 3, 8, 11] {
+                let src = after_refs(permute, refs);
+                let bytes = encode(&src);
+                // Position, due time, REF count, bin count, bin times.
+                assert_eq!(bytes.len(), 4 + 8 + 8 + 8 + 8 * refs.min(8) as usize);
+                let mut dst = after_refs(permute, (refs + 5) % 13);
+                let mut cur = bytes.as_slice();
+                dst.load(&mut cur).unwrap();
+                assert!(cur.is_empty());
+                assert_eq!(dst, src, "permute={permute} after {refs} REFs");
+                for row in 0..32 {
+                    assert_eq!(dst.refresh_age(row, 5_000), src.refresh_age(row, 5_000));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_decode_checks_position_and_bin_count() {
+        let bytes = encode(&after_refs(true, 3));
+        let load = |bytes: &[u8]| after_refs(true, 0).load(&mut &bytes[..]);
+        load(&bytes).unwrap();
+        // `next_pos` (bytes 0..4) must be `issued % bins`.
+        let mut bad = bytes.clone();
+        bad[0] = 4;
+        assert!(load(&bad).unwrap_err().contains("position"));
+        // The refreshed-bin count (bytes 20..28) must be `min(issued, bins)`.
+        for count in [2, 4] {
+            let mut bad = bytes.clone();
+            bad[20] = count;
+            assert!(load(&bad).unwrap_err().contains("refreshed bins"));
+        }
     }
 
     #[test]

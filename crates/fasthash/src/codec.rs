@@ -20,10 +20,28 @@
 //!   followed by the value.
 //! * **Prefixed containers.** `Vec` and `VecDeque` carry a `usize`
 //!   element count, then the elements. A container whose length is fixed
-//!   by the configuration (banks per rank, LLC lines, refresh bins) uses
-//!   the same layout ([`put_slice`]) but is restored in place with
-//!   [`load_slice`], which rejects a count that differs from the
-//!   receiving geometry.
+//!   by the configuration (banks per rank, bank-group gates, refresh
+//!   schedules) uses the same layout ([`put_slice`]) but is restored in
+//!   place with [`load_slice`], which rejects a count that differs from
+//!   the receiving geometry.
+//! * **Sparse containers.** The two geometry-sized tables whose untouched
+//!   entries are known write only what the run has touched, so a
+//!   checkpoint scales with live state, not with the configuration:
+//!   - *LLC lines* (`cpu::Llc`): the line count (a geometry check), the
+//!     count of non-empty sets, then each non-empty set in ascending
+//!     order as a `u32` set index, its valid-way count and those ways'
+//!     `(tag, dirty, stamp)`. Lines never become invalid and allocation
+//!     takes the first invalid way, so a set's valid lines are a prefix
+//!     of its ways and every line not written is `Line::default()`.
+//!   - *Refresh bins* (`dram::RefreshState`): the visit position, due
+//!     time and REF count, then `min(issued, bins)` and those bins'
+//!     times in visit order. Only a REF writes a bin's time, in visit
+//!     order from position 0, so every other bin still has its
+//!     constructor age, which the decoder recomputes.
+//!
+//!   Decoders overwrite every entry of the receiver and reject an index
+//!   out of range or order, an empty or over-full set, and a count or
+//!   position that disagrees with the REF count.
 //! * **Fixed containers.** Arrays (`[T; N]`) carry no prefix.
 //! * **Hash maps** are written as a prefixed sequence of `(key, value)`
 //!   pairs sorted by key ([`put_sorted_map`], [`load_map`]), so equal

@@ -15,7 +15,7 @@
 //!
 //! One file per in-progress cell, named `{content_key:032x}.ckpt` in the
 //! run-cache directory — a sibling of the `.run` entries in the same
-//! envelope ([`crate::cache`], magic `CCCKP\0v1`, version
+//! envelope ([`crate::cache`], magic `CCCKP\0v2`, version
 //! [`CKPT_VERSION`]): atomic temp-file + rename stores,
 //! quarantine-on-corrupt (`<name>.ckpt.corrupt`), and version mismatches
 //! treated as clean misses. The run cache's `gc` only matches `.run` names, so
@@ -57,12 +57,12 @@ use crate::system::{Snapshot, System};
 /// layout changes — including any `save_state` in the crates below this
 /// one — so stale checkpoints miss cleanly and the cell restarts from
 /// zero instead of misdecoding.
-pub const CKPT_VERSION: u32 = 1;
+pub const CKPT_VERSION: u32 = 2;
 
 /// The `.ckpt` envelope (its magic's version byte rides along, as in the
 /// run cache).
 const CKPT: Envelope = Envelope {
-    magic: *b"CCCKP\0v1",
+    magic: *b"CCCKP\0v2",
     version: CKPT_VERSION,
     ext: "ckpt",
     tmp_ext: "ckpt-tmp",

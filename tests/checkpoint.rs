@@ -454,7 +454,7 @@ fn killed_after_every_warmup_checkpoint_store_resumes_byte_identical() {
         if k == 1 {
             assert_eq!(
                 (payload.len(), checksum_64(&payload)),
-                (1_255_667, 0xdf09_2374_54d9_3b7e)
+                (12_799, 0x7fb4_adcc_ef62_90ca)
             );
         }
         phases.push(payload[0]);
@@ -697,21 +697,21 @@ fn checkpoint_bytes_are_frozen() {
     );
 }
 
-/// `(configuration, length, checksum_64)` captured before the state
-/// codec refactor; see [`checkpoint_bytes_are_frozen`].
+/// `(configuration, length, checksum_64)` captured at `CKPT_VERSION` 2;
+/// see [`checkpoint_bytes_are_frozen`].
 const GOLDEN_STATE: &[(&str, usize, u64)] = &[
-    ("baseline", 1249939, 0x857776090490cfd2),
-    ("chargecache", 1253260, 0xab5d93707a76790c),
-    ("nuat", 1249955, 0xc79619b8dadaa851),
-    ("cc-nuat", 1253284, 0x724006571065f4dc),
-    ("lldram", 1249939, 0x8a1cc9369a6b542e),
-    ("chargecache(unlimited=true)", 1250636, 0x2cc091d85d289369),
-    ("ddr3", 1253260, 0xab5d93707a76790c),
-    ("ddr4", 1253723, 0x969c44f3ad872fb5),
-    ("lpddr4x", 2242963, 0x5e3b4539186fd7db),
-    ("hbm2", 2318259, 0x0989300becd5c669),
-    ("no command log", 1251800, 0x7dea6d42fc709892),
-    ("w1", 316170, 0x5ea6f4c1b7cf9d98),
+    ("baseline", 6503, 0x1975203313f4ba3b),
+    ("chargecache", 9824, 0x42a5b6cdd9584b0f),
+    ("nuat", 6519, 0x21193ed43cc73bb0),
+    ("cc-nuat", 9848, 0x35864dbfee3eaf49),
+    ("lldram", 6503, 0xb5b613e1ca88a087),
+    ("chargecache(unlimited=true)", 7200, 0xee46a219b3c1a412),
+    ("ddr3", 9824, 0x42a5b6cdd9584b0f),
+    ("ddr4", 10295, 0xe644c313933ea31a),
+    ("lpddr4x", 14839, 0x2f6a33d638763b4e),
+    ("hbm2", 90119, 0xb662c5744a40ddf2),
+    ("no command log", 8364, 0x0008c454319843b1),
+    ("w1", 184882, 0x665cfdc27354d656),
 ];
 
 /// The phase-1 payload `cc-sim` persists (run-driver position, warmup
@@ -742,7 +742,7 @@ fn measured_phase_checkpoint_payload_is_frozen() {
     );
     assert_eq!(
         (payload.len(), checksum_64(&payload)),
-        (1_257_329, 0xd567_3926_7644_45ef)
+        (15_580, 0xa077_0453_1c25_bf55)
     );
     let _ = fs::remove_dir_all(&dir);
 }
