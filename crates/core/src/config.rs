@@ -52,14 +52,6 @@ impl ChargeCacheConfig {
         }
     }
 
-    /// Paper config with a different capacity (Figures 9 and 10).
-    pub fn with_entries(entries_per_core: usize) -> Self {
-        Self {
-            entries_per_core,
-            ..Self::paper()
-        }
-    }
-
     /// Paper config with a different caching duration (Figure 11); the
     /// timing reductions are re-derived from the circuit model for a
     /// DDR3-1600 bus.

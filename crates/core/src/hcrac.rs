@@ -276,18 +276,6 @@ impl Hcrac {
         }
     }
 
-    /// Oldest `inserted_at` among valid entries, if any (test support).
-    pub fn oldest_insertion(&self) -> Option<u64> {
-        match &self.storage {
-            Storage::SetAssoc { entries, .. } => entries
-                .iter()
-                .filter(|e| e.valid)
-                .map(|e| e.inserted_at)
-                .min(),
-            Storage::Unlimited { map } => map.values().copied().min(),
-        }
-    }
-
     fn set_of(key: RowKey, sets: usize) -> usize {
         // Mix the upper coordinate bits down so banks/channels spread
         // across sets rather than aliasing on row bits alone.

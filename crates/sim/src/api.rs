@@ -116,7 +116,7 @@ use traces::{MixSpec, WorkloadSpec};
 
 use crate::cache::DiskCache;
 use crate::config::{InvalidConfig, SystemConfig};
-use crate::exp::{default_threads, par_map, run_configured, ExpParams};
+use crate::exp::{build_system, default_threads, par_map, CellRun, Chunk, ExpParams};
 use crate::json::Json;
 use crate::metrics::RunResult;
 use crate::system::System;
@@ -277,7 +277,6 @@ pub struct Experiment {
     engine: Option<Engine>,
     threads: Option<usize>,
     alone: Option<MechanismSpec>,
-    configure: Option<Variant>,
     cache_dir: Option<PathBuf>,
 }
 
@@ -407,15 +406,6 @@ impl Experiment {
         self
     }
 
-    /// Applies an experiment-wide configuration override to every cell
-    /// (e.g. a row-buffer policy or scheduler change), before the
-    /// per-cell variant.
-    #[must_use]
-    pub fn configure(mut self, f: impl Fn(&mut SystemConfig) + Send + Sync + 'static) -> Self {
-        self.configure = Some(Variant::new("configure", f));
-        self
-    }
-
     /// Persists every result in the disk-backed run cache at `dir`
     /// (created if needed), making the sweep resumable: a re-run against
     /// the same directory loads completed cells and simulates only the
@@ -442,9 +432,8 @@ impl Experiment {
     /// The system configuration of one cell (public so callers can audit
     /// exactly what a cell will run). The family installs first
     /// (geometry, refresh granularity, default bin), then the timing
-    /// spec (clock ratio, resolved DRAM parameters), then the
-    /// experiment-wide [`Experiment::configure`] override, then the
-    /// cell's variant.
+    /// spec (clock ratio, resolved DRAM parameters), then the cell's
+    /// variant.
     ///
     /// A default `ddr3` family is *not* re-installed: the subject's base
     /// configuration (1-channel single-core, 2-channel eight-core)
@@ -473,9 +462,6 @@ impl Experiment {
         if family_default || !timing.is_default() {
             cfg.set_timing(timing.clone())
                 .map_err(|e| format!("timing {timing}: {e}"))?;
-        }
-        if let Some(c) = &self.configure {
-            (c.apply)(&mut cfg);
         }
         (variant.apply)(&mut cfg);
         if let Some(e) = self.engine {
@@ -650,22 +636,15 @@ impl Experiment {
                         continue;
                     }
                     alone_names.push(app.name.to_string());
-                    let mut cfg = SystemConfig::paper_single_core(alone_mech.clone());
-                    // Mirror cell_config: the denominators must describe
-                    // the same device as the cells.
-                    let family = &plan.families[0];
-                    let family_default = family.is_default();
-                    if !family_default {
-                        cfg.set_family(family.clone())
-                            .map_err(|e| InvalidConfig(format!("family {family}: {e}")))?;
-                    }
-                    if family_default || !plan.timings[0].is_default() {
-                        cfg.set_timing(plan.timings[0].clone())
-                            .map_err(InvalidConfig)?;
-                    }
-                    if let Some(e) = self.engine {
-                        cfg.engine = e;
-                    }
+                    let cfg = self
+                        .cell_config(
+                            &Subject::Single(app.clone()),
+                            &plan.families[0],
+                            &plan.timings[0],
+                            alone_mech,
+                            &Variant::paper(),
+                        )
+                        .map_err(InvalidConfig)?;
                     jobs.push(Job {
                         cfg,
                         apps: vec![app.clone()],
@@ -833,12 +812,11 @@ static CACHE_EXECUTIONS: AtomicU64 = AtomicU64::new(0);
 /// Number of simulations actually executed (cache misses) since process
 /// start. The memoization tests assert on deltas of this counter.
 ///
-/// The lookup and insert around a sweep's execution are not one atomic
-/// step: two [`Experiment::run`] calls racing from *different threads*
-/// can both miss on the same key and simulate it twice (results are
-/// pure, so the cache stays correct — only work and this counter are
-/// duplicated). Tests asserting exact deltas must serialize their runs,
-/// as `tests/api.rs` does.
+/// Racing [`Experiment::run`] calls on one key are single-flighted: one
+/// simulates while the others wait for its result, so a key that
+/// succeeds is simulated once until [`clear_run_cache`]. The counter is
+/// process-wide, so tests asserting exact deltas must still serialize
+/// against every other sweep in the process, as `tests/api.rs` does.
 pub fn run_cache_executions() -> u64 {
     CACHE_EXECUTIONS.load(Ordering::SeqCst)
 }
@@ -1070,8 +1048,8 @@ fn execute_job(
     }
     // Periodic checkpointing engages when the job asks for it and a
     // healthy cache directory exists to hold the files; a degraded (or
-    // absent) cache leaves no durable home for checkpoints, so the run
-    // falls back to the plain non-checkpointed driver.
+    // absent) cache leaves no durable home for checkpoints, so the cell
+    // runs without a store.
     let ckpt = if job.params.checkpoint_interval > 0 {
         disk.filter(|d| !d.is_degraded())
             .map(|d| crate::ckpt::CheckpointStore::new(d.dir()))
@@ -1085,15 +1063,14 @@ fn execute_job(
         // `AssertUnwindSafe`: the closure owns clones of the job inputs
         // and a poisoned run's partial state is dropped wholesale, so no
         // broken invariant can leak into the next attempt.
-        let run = catch_unwind(AssertUnwindSafe(|| match &ckpt {
-            Some(store) => crate::ckpt::run_checkpointed(
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            crate::ckpt::run_checkpointed(
                 job.cfg.clone(),
                 &job.apps,
                 &job.params,
-                store,
+                ckpt.as_ref(),
                 content,
-            ),
-            None => run_configured(job.cfg.clone(), &job.apps, &job.params),
+            )
         }));
         match run {
             Ok(Ok(r)) => {
@@ -1366,14 +1343,14 @@ impl SweepResult {
     }
 
     /// Encodes the whole table as deterministic JSON (schema
-    /// `chargecache-sweep/v4`; see `docs/SCHEMA.md` for the field
+    /// `chargecache-sweep/v5`; see `docs/SCHEMA.md` for the field
     /// reference). Mechanisms and timings are recorded as their spec
     /// strings (`"chargecache(entries=64)"`, `"ddr3-1866"`), so custom
     /// registered mechanisms and overridden presets round-trip
     /// losslessly; a failed cell keeps its identity members and carries
     /// an `error` object instead of metrics.
-    /// [`crate::json::parse_sweep`] reads v4 plus the archived v3, v2
-    /// and v1 documents.
+    /// [`crate::json::parse_sweep`] reads v5 plus the archived v4, v3,
+    /// v2 and v1 documents.
     pub fn to_json(&self) -> String {
         let alone = if self.alone.is_empty() {
             Json::Null
@@ -1640,7 +1617,7 @@ impl Probe for SampleSeries {
     }
 }
 
-/// Like [`run_configured`], but calls
+/// Like [`crate::run_configured`], but calls
 /// `probe` every `interval_cycles` CPU cycles of the measured phase.
 /// The probe does not change the simulation: the returned [`RunResult`]
 /// is bit-identical to an unprobed run of the same configuration.
@@ -1660,26 +1637,21 @@ pub fn run_probed(
     if interval_cycles == 0 {
         return Err(InvalidConfig("probe interval must be non-zero".into()));
     }
-    let mut sys = crate::exp::build_system(cfg, apps, p)?;
-    let max_cycles = p.max_cycles();
-    sys.run_until_retired(p.warmup_insts, max_cycles);
-    sys.memory_mut().device_mut().take_log();
-    let warm = sys.snapshot();
-    probe.sample(&sys);
-    let target = p.warmup_insts + p.insts_per_core;
-    let end = sys.now() + max_cycles;
-    let hit_cap = loop {
-        let chunk = interval_cycles.min(end - sys.now());
-        let reached = sys.run_until_retired(target, chunk);
-        probe.sample(&sys);
-        if reached {
-            break false;
+    let mut run = CellRun::new(build_system(cfg, apps, p)?, p, u64::MAX);
+    loop {
+        let cycles = if run.pos.phase == 1 {
+            interval_cycles
+        } else {
+            u64::MAX
+        };
+        let chunk = run.chunk(cycles);
+        if run.pos.phase == 1 {
+            probe.sample(&run.sys);
         }
-        if sys.now() >= end {
-            break true;
+        if let Chunk::Done(hit_cap) = chunk {
+            return Ok(run.result(hit_cap));
         }
-    };
-    Ok(sys.result_since(&warm, hit_cap))
+    }
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //!
 //! # Kill-anywhere guarantee
 //!
-//! Checkpoints are taken only at run boundaries (between
-//! `run_until_retired` chunks), where a system's transient engine state
+//! Checkpoints are taken only at run boundaries (between the shared
+//! run loop's chunks), where a system's transient engine state
 //! (sleep bookkeeping, completion buffers, bus counters) is empty or
 //! derivable. A run resumed from *any* checkpoint — including one whose
 //! process died mid-store, since stores are atomic — retires the same
@@ -49,7 +49,7 @@ use traces::WorkloadSpec;
 
 use crate::config::{InvalidConfig, SystemConfig};
 use crate::envelope::{fault, quarantine, Envelope, Loaded};
-use crate::exp::{build_system, ExpParams};
+use crate::exp::{build_system, run_configured, CellRun, Chunk, ExpParams, Position};
 use crate::metrics::RunResult;
 use crate::system::{Snapshot, System};
 
@@ -169,34 +169,15 @@ impl CheckpointStore {
     }
 }
 
-/// Run-driver position encoded at the head of every checkpoint payload.
-struct Position {
-    /// 0 = warmup, 1 = measured.
-    phase: u8,
-    /// Retired-instruction target of the next chunk.
-    target: u64,
-    /// Absolute cycle deadline of the current phase.
-    deadline: u64,
-    /// Warmup-boundary snapshot (measured phase only).
-    warm: Option<Snapshot>,
-}
-
 /// Serializes one checkpoint payload. Returns `None` when the mechanism
 /// does not support state capture (checkpointing silently disabled).
-fn encode_payload(
-    phase: u8,
-    target: u64,
-    deadline: u64,
-    warm: Option<&Snapshot>,
-    sys: &System,
-) -> Option<Vec<u8>> {
+fn encode_payload(pos: &Position, sys: &System) -> Option<Vec<u8>> {
     let mut out = Vec::with_capacity(4096);
-    phase.put(&mut out);
-    target.put(&mut out);
-    deadline.put(&mut out);
-    if phase == 1 {
-        warm.expect("measured-phase checkpoint carries the warmup snapshot")
-            .put(&mut out);
+    pos.phase.put(&mut out);
+    pos.target.put(&mut out);
+    pos.deadline.put(&mut out);
+    if let Some(warm) = &pos.warm {
+        warm.put(&mut out);
     }
     sys.save_state(&mut out).then_some(out)
 }
@@ -228,12 +209,13 @@ fn decode_payload(mut input: &[u8], sys: &mut System) -> Result<Position, String
     })
 }
 
-/// Like [`crate::run_configured`], but runs in checkpoint-interval
-/// chunks: resumes from the newest valid checkpoint under `key` if one
-/// exists, persists a checkpoint at every chunk boundary, and produces
-/// a [`RunResult`] bit-identical to an uninterrupted run. Corrupt or
-/// stale checkpoints degrade to a restart from zero; mechanisms without
-/// state-capture support run without checkpointing.
+/// Runs a cell like [`crate::run_configured`]; with a `store`, it runs
+/// in checkpoint-interval chunks instead: resumes from the newest valid
+/// checkpoint under `key` if one exists, persists a checkpoint at every
+/// mid-phase chunk boundary, and produces a [`RunResult`] bit-identical
+/// to an uninterrupted run. Corrupt or stale checkpoints degrade to a
+/// restart from zero; mechanisms without state-capture support run
+/// without checkpointing.
 ///
 /// # Errors
 ///
@@ -242,22 +224,18 @@ pub(crate) fn run_checkpointed(
     cfg: SystemConfig,
     apps: &[WorkloadSpec],
     p: &ExpParams,
-    store: &CheckpointStore,
+    store: Option<&CheckpointStore>,
     key: u128,
 ) -> Result<RunResult, InvalidConfig> {
-    let interval = p.checkpoint_interval.max(1);
-    let end_target = p.warmup_insts + p.insts_per_core;
-    let mut sys = build_system(cfg.clone(), apps, p)?;
-    let mut pos = Position {
-        phase: 0,
-        target: interval.min(p.warmup_insts),
-        deadline: p.max_cycles(),
-        warm: None,
+    let Some(store) = store else {
+        return run_configured(cfg, apps, p);
     };
+    let sys = build_system(cfg.clone(), apps, p)?;
+    let mut run = CellRun::new(sys, p, p.checkpoint_interval.max(1));
     if let Some(payload) = store.load(key) {
-        match decode_payload(&payload, &mut sys) {
-            Ok(resumed) => {
-                pos = resumed;
+        match decode_payload(&payload, &mut run.sys) {
+            Ok(pos) => {
+                run.pos = pos;
                 RESUMES.fetch_add(1, Relaxed);
             }
             Err(_) => {
@@ -266,7 +244,7 @@ pub(crate) fn run_checkpointed(
                 // without a version bump): quarantine it and restart
                 // from zero on a clean system.
                 store.quarantine(&store.path_for(key));
-                sys = build_system(cfg, apps, p)?;
+                run.sys = build_system(cfg, apps, p)?;
             }
         }
     }
@@ -274,45 +252,14 @@ pub(crate) fn run_checkpointed(
     // run still executes in chunks (bit-identical either way), just
     // without durability.
     let mut supported = true;
-    if pos.phase == 0 {
-        loop {
-            let budget = pos.deadline.saturating_sub(sys.now());
-            let reached = sys.run_until_retired(pos.target, budget);
-            if pos.target >= p.warmup_insts || !reached {
-                break;
-            }
-            pos.target = (pos.target + interval).min(p.warmup_insts);
-            if supported {
-                match encode_payload(0, pos.target, pos.deadline, None, &sys) {
-                    Some(payload) => store.store(key, &payload),
-                    None => supported = false,
-                }
-            }
-        }
-        // Warmup boundary, identical to `run_configured`: discard the
-        // warmup energy log and take the measurement snapshot.
-        sys.memory_mut().device_mut().take_log();
-        pos = Position {
-            phase: 1,
-            target: (p.warmup_insts + interval).min(end_target),
-            deadline: sys.now() + p.max_cycles(),
-            warm: Some(sys.snapshot()),
-        };
-    }
-    let warm = pos.warm.take().expect("measured phase has a snapshot");
-    let reached = loop {
-        let budget = pos.deadline.saturating_sub(sys.now());
-        let reached = sys.run_until_retired(pos.target, budget);
-        if pos.target >= end_target || !reached {
-            break reached;
-        }
-        pos.target = (pos.target + interval).min(end_target);
-        if supported {
-            match encode_payload(1, pos.target, pos.deadline, Some(&warm), &sys) {
+    loop {
+        match run.chunk(u64::MAX) {
+            Chunk::Phase if supported => match encode_payload(&run.pos, &run.sys) {
                 Some(payload) => store.store(key, &payload),
                 None => supported = false,
-            }
+            },
+            Chunk::Done(hit_cap) => return Ok(run.result(hit_cap)),
+            _ => {}
         }
-    };
-    Ok(sys.result_since(&warm, !reached))
+    }
 }

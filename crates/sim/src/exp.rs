@@ -11,7 +11,7 @@ use traces::WorkloadSpec;
 
 use crate::config::{InvalidConfig, SystemConfig};
 use crate::metrics::RunResult;
-use crate::system::System;
+use crate::system::{Snapshot, System};
 
 /// Run-length parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +94,7 @@ impl Default for ExpParams {
 }
 
 /// Builds the fully-traced [`System`] an experiment runs on (the shared
-/// front half of [`run_configured`] and [`crate::api::run_probed`]).
+/// front half of every cell driver).
 pub(crate) fn build_system(
     cfg: SystemConfig,
     apps: &[WorkloadSpec],
@@ -120,6 +120,103 @@ pub(crate) fn build_system(
     System::try_new(cfg, traces)
 }
 
+/// Where a cell run stands between chunks (the head of every checkpoint
+/// payload, see [`crate::ckpt`]).
+pub(crate) struct Position {
+    /// 0 = warmup, 1 = measured.
+    pub(crate) phase: u8,
+    /// Retired-instruction target of the next chunk.
+    pub(crate) target: u64,
+    /// Absolute cycle deadline of the current phase.
+    pub(crate) deadline: u64,
+    /// Warmup-boundary snapshot (measured phase only).
+    pub(crate) warm: Option<Snapshot>,
+}
+
+/// How one [`CellRun::chunk`] ended.
+pub(crate) enum Chunk {
+    /// The current phase goes on.
+    Phase,
+    /// The warmup just ended; the measured phase begins.
+    WarmupEnded,
+    /// The run is over; `true` when the cycle cap ended it.
+    Done(bool),
+}
+
+/// One warmup-then-measure cell, advanced chunk by chunk. Every driver
+/// ([`run_configured`], [`crate::api::run_probed`] and the checkpointed
+/// cell) runs through it, so the warmup boundary, both phase cycle caps
+/// and the measured result are written once.
+pub(crate) struct CellRun {
+    pub(crate) sys: System,
+    pub(crate) pos: Position,
+    warmup: u64,
+    end: u64,
+    max_cycles: u64,
+    /// Retired instructions per chunk (`u64::MAX`: one chunk a phase).
+    step: u64,
+}
+
+impl CellRun {
+    /// A run of `sys` from cycle 0 in chunks of `step` instructions.
+    pub(crate) fn new(sys: System, p: &ExpParams, step: u64) -> Self {
+        Self {
+            sys,
+            pos: Position {
+                phase: 0,
+                target: step.min(p.warmup_insts),
+                deadline: p.max_cycles(),
+                warm: None,
+            },
+            warmup: p.warmup_insts,
+            end: p.warmup_insts + p.insts_per_core,
+            max_cycles: p.max_cycles(),
+            step,
+        }
+    }
+
+    /// Runs until the chunk's instruction target, the phase deadline or
+    /// `max_cycles` more cycles, whichever comes first.
+    pub(crate) fn chunk(&mut self, max_cycles: u64) -> Chunk {
+        let phase_end = if self.pos.phase == 0 {
+            self.warmup
+        } else {
+            self.end
+        };
+        let budget = self.pos.deadline.saturating_sub(self.sys.now());
+        let reached = self
+            .sys
+            .run_until_retired(self.pos.target, budget.min(max_cycles));
+        if reached && self.pos.target < phase_end {
+            self.pos.target = self.pos.target.saturating_add(self.step).min(phase_end);
+            return Chunk::Phase;
+        }
+        if !reached && self.sys.now() < self.pos.deadline {
+            return Chunk::Phase;
+        }
+        if self.pos.phase == 1 {
+            return Chunk::Done(!reached);
+        }
+        // Warmup boundary: discard the warmup energy log and take the
+        // measurement snapshot.
+        self.sys.memory_mut().device_mut().take_log();
+        self.pos = Position {
+            phase: 1,
+            target: self.warmup.saturating_add(self.step).min(self.end),
+            deadline: self.sys.now() + self.max_cycles,
+            warm: Some(self.sys.snapshot()),
+        };
+        Chunk::WarmupEnded
+    }
+
+    /// The measured result of a finished run.
+    pub(crate) fn result(mut self, hit_cap: bool) -> RunResult {
+        let warm = self.pos.warm.as_ref();
+        self.sys
+            .result_since(warm.expect("measured phase has a snapshot"), hit_cap)
+    }
+}
+
 /// Runs an arbitrary system configuration with one workload per core.
 ///
 /// # Errors
@@ -132,13 +229,12 @@ pub fn run_configured(
     apps: &[WorkloadSpec],
     p: &ExpParams,
 ) -> Result<RunResult, InvalidConfig> {
-    let mut sys = build_system(cfg, apps, p)?;
-    sys.run_until_retired(p.warmup_insts, p.max_cycles());
-    // Discard warmup energy and take the measurement snapshot.
-    sys.memory_mut().device_mut().take_log();
-    let warm = sys.snapshot();
-    let reached = sys.run_until_retired(p.warmup_insts + p.insts_per_core, p.max_cycles());
-    Ok(sys.result_since(&warm, !reached))
+    let mut run = CellRun::new(build_system(cfg, apps, p)?, p, u64::MAX);
+    loop {
+        if let Chunk::Done(hit_cap) = run.chunk(u64::MAX) {
+            return Ok(run.result(hit_cap));
+        }
+    }
 }
 
 /// Maps `f` over `items` on `threads` worker threads, preserving order.

@@ -7,9 +7,7 @@
 //! * [`gen`] — deterministic pattern generators (streams, uniform random,
 //!   Zipf row popularity, mixtures) implementing [`cpu::TraceSource`];
 //! * [`profile`] — one calibrated [`profile::WorkloadSpec`] per named
-//!   workload, plus the 20 randomized eight-core mixes;
-//! * [`mod@file`] — Ramulator-style text trace parsing and a compact binary
-//!   format, so externally collected traces can be replayed too.
+//!   workload, plus the 20 randomized eight-core mixes.
 //!
 //! # Example
 //!
@@ -22,12 +20,10 @@
 //! assert!(entry.op.is_some());
 //! ```
 
-pub mod file;
 pub mod gen;
 pub mod profile;
 pub mod rng;
 
-pub use file::FileTrace;
 pub use gen::{GenParams, MixGen, RandomGen, StreamGen, ZipfGen};
 pub use profile::{
     eight_core_mixes, single_core_workloads, workload, MixSpec, Pattern, WorkloadSpec,

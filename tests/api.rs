@@ -5,7 +5,7 @@
 use std::sync::Mutex;
 
 use chargecache::MechanismSpec;
-use sim::api::{self, Experiment, SampleSeries, Variant};
+use sim::api::{self, Experiment, Sample, SampleSeries, Variant};
 use sim::exp::{run_configured, ExpParams};
 use sim::{Engine, SystemConfig};
 use traces::workload;
@@ -150,6 +150,79 @@ fn probe_does_not_perturb_the_run() {
             .all(|w| w[0].cycle <= w[1].cycle && w[0].min_retired <= w[1].min_retired));
         let last = series.samples.last().unwrap();
         assert!(last.min_retired >= p.warmup_insts + p.insts_per_core);
+    }
+}
+
+/// FNV-1a over the little-endian words of every [`Sample`] in order.
+fn sample_fingerprint(samples: &[Sample]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for s in samples {
+        for w in [s.cycle, s.min_retired, s.dram_reads, s.activations] {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+    h
+}
+
+#[test]
+fn probe_sample_sequence_is_pinned() {
+    // (engine, sample count, first cycle, last cycle, fingerprint): the
+    // warmup-boundary sample, one per 3,000-cycle chunk, then the final
+    // one. A driver that moves or drops a sample changes these.
+    const GOLDEN: [(Engine, usize, u64, u64, u64); 2] = [
+        (Engine::EventSkip, 10, 6_275, 30_276, 0x0445_830c_e0b9_bd68),
+        (Engine::PerCycle, 10, 6_275, 30_276, 0x0445_830c_e0b9_bd68),
+    ];
+    let spec = workload("STREAMcopy").unwrap();
+    for (engine, len, first, last, fp) in GOLDEN {
+        let mut cfg = SystemConfig::paper_single_core(MechanismSpec::chargecache());
+        cfg.engine = engine;
+        let mut series = SampleSeries::default();
+        api::run_probed(
+            cfg,
+            std::slice::from_ref(&spec),
+            &ExpParams::tiny(),
+            3_000,
+            &mut series,
+        )
+        .unwrap();
+        let s = &series.samples;
+        let got = (
+            s.len(),
+            s[0].cycle,
+            s[s.len() - 1].cycle,
+            sample_fingerprint(s),
+        );
+        assert_eq!(got, (len, first, last, fp), "{engine:?} samples moved");
+    }
+}
+
+#[test]
+fn alone_ipc_denominators_follow_the_device_axis() {
+    // A non-default family and a non-default timing: each alone run must
+    // describe the same device as the baseline cell it shares a key with.
+    let _guard = CACHE_LOCK.lock().unwrap();
+    let mcf = workload("mcf").unwrap();
+    for (family, timing) in [("lpddr4x", None), ("ddr3", Some("ddr3-2133"))] {
+        let mut exp = Experiment::new()
+            .workload(mcf.clone())
+            .family(family.parse().unwrap())
+            .mechanism(MechanismSpec::baseline())
+            .alone_ipcs(MechanismSpec::baseline())
+            .params(tiny());
+        if let Some(t) = timing {
+            exp = exp.timing(t.parse().unwrap());
+        }
+        let sweep = exp.run().unwrap();
+        let cell = sweep.cell("mcf", "baseline", "paper").unwrap();
+        assert_eq!(
+            sweep.alone_ipc("mcf"),
+            Some(cell.result().ipc(0)),
+            "{family} {timing:?}"
+        );
     }
 }
 

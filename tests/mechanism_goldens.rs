@@ -95,7 +95,8 @@ fn eight_core_builtins_match_pre_redesign_goldens() {
 #[test]
 fn spec_parameters_match_the_old_config_structs() {
     let p = small();
-    // `entries=N` must reproduce `ChargeCacheConfig::with_entries(N)`.
+    // `entries=N` must reproduce the paper config with `entries_per_core`
+    // set to N.
     for (spec_src, cycles, activates, reduced) in [
         ("chargecache(entries=64)", 6_074u64, 23u64, 21u64),
         ("chargecache(entries=1024)", 6_074, 23, 21),
