@@ -1,7 +1,9 @@
 //! Shared last-level cache: set-associative, LRU, write-back,
 //! write-allocate (without fetch for stores).
 
-use fasthash::codec::{put_u32, put_usize, take_len, take_u32, take_usize, CodecResult, State};
+use fasthash::codec::{
+    put_u32, put_usize, take_bool, take_len, take_u32, take_u64, take_usize, CodecResult, State,
+};
 use fasthash::impl_state;
 
 /// LLC configuration.
@@ -44,6 +46,11 @@ impl LlcConfig {
         }
         if !self.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
+        }
+        if self.line_bytes < 2 {
+            // A line's tag keeps its dirty flag in the top bit, which a
+            // line number is free of only when lines span two bytes.
+            return Err("line size must be at least 2 bytes".into());
         }
         if !self
             .capacity_bytes
@@ -93,12 +100,39 @@ impl LlcStats {
     }
 }
 
+/// One cache line in 16 bytes. The line is valid iff `stamp` (its LRU
+/// time) is non-zero: the stamp counter is bumped before every use, so
+/// no touched line carries 0. The dirty flag is the tag's top bit
+/// ([`DIRTY`]), which no line number reaches.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
+    /// Line number (`addr >> line_shift`), or'ed with [`DIRTY`].
     tag: u64,
-    valid: bool,
-    dirty: bool,
+    /// LRU time of the last touch; 0 marks an empty way.
     stamp: u64,
+}
+
+/// The dirty flag's bit in [`Line::tag`].
+const DIRTY: u64 = 1 << 63;
+
+impl Line {
+    fn valid(&self) -> bool {
+        self.stamp != 0
+    }
+
+    fn dirty(&self) -> bool {
+        self.tag & DIRTY != 0
+    }
+
+    /// The line number, without the dirty flag.
+    fn line(&self) -> u64 {
+        self.tag & !DIRTY
+    }
+
+    /// True if this way holds line `tag`.
+    fn holds(&self, tag: u64) -> bool {
+        self.valid() && self.line() == tag
+    }
 }
 
 /// Outcome of an LLC access.
@@ -198,7 +232,7 @@ impl Llc {
     /// True if the line is present (no LRU update, no stats).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.locate(addr);
-        self.set_lines(set).iter().any(|l| l.valid && l.tag == tag)
+        self.set_lines(set).iter().any(|l| l.holds(tag))
     }
 
     fn locate(&self, addr: u64) -> (usize, u64) {
@@ -218,9 +252,11 @@ impl Llc {
         let stamp = self.stamp;
         let ways = self.cfg.ways;
         let slice = &mut self.lines[set * ways..(set + 1) * ways];
-        if let Some(l) = slice.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(l) = slice.iter_mut().find(|l| l.holds(tag)) {
             l.stamp = stamp;
-            l.dirty |= dirty;
+            if dirty {
+                l.tag |= DIRTY;
+            }
             true
         } else {
             false
@@ -235,19 +271,17 @@ impl Llc {
         let ways = self.cfg.ways;
 
         let slice = &mut self.lines[set * ways..(set + 1) * ways];
-        let victim = match slice.iter_mut().find(|l| !l.valid) {
+        let victim = match slice.iter_mut().find(|l| !l.valid()) {
             Some(v) => v,
             None => slice.iter_mut().min_by_key(|l| l.stamp).expect("ways > 0"),
         };
-        let wb = if victim.valid && victim.dirty {
-            Some(victim.tag << self.line_shift)
+        let wb = if victim.valid() && victim.dirty() {
+            Some(victim.line() << self.line_shift)
         } else {
             None
         };
         *victim = Line {
-            tag,
-            valid: true,
-            dirty,
+            tag: if dirty { tag | DIRTY } else { tag },
             stamp,
         };
         if wb.is_some() {
@@ -257,8 +291,35 @@ impl Llc {
     }
 }
 
-// A valid line on the wire: `valid` is implied by its position.
-impl_state!(Line { tag, dirty, stamp });
+/// A valid line on the wire, as `(tag, dirty, stamp)`: `valid` is
+/// implied by its position. Decoding rejects a stamp of 0 (an empty way
+/// listed as valid) and a tag that overlaps the dirty bit.
+impl State for Line {
+    const MIN_BYTES: usize = 8 + 1 + 8;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.line().put(out);
+        self.dirty().put(out);
+        self.stamp.put(out);
+    }
+
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        let tag = take_u64(input, "llc line tag")?;
+        let dirty = take_bool(input, "llc line dirty flag")?;
+        let stamp = take_u64(input, "llc line stamp")?;
+        if tag & DIRTY != 0 {
+            return Err(format!("llc line tag {tag:#x} out of range"));
+        }
+        if stamp == 0 {
+            return Err("llc line listed with stamp 0".to_string());
+        }
+        *self = Line {
+            tag: if dirty { tag | DIRTY } else { tag },
+            stamp,
+        };
+        Ok(())
+    }
+}
 
 impl_state!(LlcStats {
     read_accesses,
@@ -285,10 +346,10 @@ impl State for Llc {
         let ways = self.cfg.ways;
         put_usize(out, self.lines.len());
         let sets = self.lines.chunks_exact(ways);
-        put_usize(out, sets.clone().filter(|s| s[0].valid).count());
+        put_usize(out, sets.clone().filter(|s| s[0].valid()).count());
         for (index, set) in sets.enumerate() {
-            let n = set.iter().take_while(|l| l.valid).count();
-            debug_assert!(!set[n..].iter().any(|l| l.valid));
+            let n = set.iter().take_while(|l| l.valid()).count();
+            debug_assert!(!set[n..].iter().any(Line::valid));
             if n > 0 {
                 put_u32(out, u32::try_from(index).expect("set index fits u32"));
                 put_usize(out, n);
@@ -321,7 +382,6 @@ impl State for Llc {
                 return Err(format!("llc set {index} has {n} lines of {ways} ways"));
             }
             for line in &mut self.lines[index * ways..index * ways + n] {
-                line.valid = true;
                 line.load(input)?;
             }
         }
@@ -464,7 +524,7 @@ mod tests {
                 let mut src = Llc::new(cfg);
                 churn(&mut src, ops, 1);
                 if ops > lines {
-                    assert!(src.lines.iter().all(|l| l.valid));
+                    assert!(src.lines.iter().all(Line::valid));
                     assert!(src.stats().writebacks > 0);
                 }
                 let bytes = encode(&src);
@@ -497,7 +557,7 @@ mod tests {
         for i in 0..lines + 100 {
             c.write(i * 64);
         }
-        assert!(c.lines.iter().all(|l| l.valid));
+        assert!(c.lines.iter().all(Line::valid));
         assert!(encode(&c).len() <= 8 + 18 * lines as usize + 8 + 48);
     }
 
@@ -514,8 +574,6 @@ mod tests {
                 for tag in 0..n as u64 {
                     Line {
                         tag,
-                        valid: true,
-                        dirty: false,
                         stamp: tag + 1,
                     }
                     .put(&mut out);
@@ -536,11 +594,39 @@ mod tests {
         ] {
             assert!(load(payload(sets)).is_err(), "{why} decoded");
         }
+        // A listed line must be valid (stamp ≠ 0) and its tag must leave
+        // the dirty bit free.
+        let mut zero_stamp = payload(&[(3, 1)]);
+        zero_stamp[8 + 8 + 4 + 8 + 9..][..8].fill(0);
+        let err = load(zero_stamp).unwrap_err();
+        assert!(err.contains("stamp 0"), "{err}");
+        let mut wide_tag = payload(&[(3, 1)]);
+        wide_tag[8 + 8 + 4 + 8 + 7] = 0x80;
+        assert!(load(wide_tag).unwrap_err().contains("out of range"));
         // The geometry check stays.
         let err = Llc::new(LlcConfig::paper_4mb())
             .load(&mut payload(&[]).as_slice())
             .unwrap_err();
         assert!(err.contains("geometry mismatch"), "{err}");
+    }
+
+    #[test]
+    fn line_is_sixteen_bytes_and_keeps_dirty_in_the_tag() {
+        assert_eq!(std::mem::size_of::<Line>(), 16);
+        let mut c = small();
+        c.write(0x1000);
+        c.fill(0x2000);
+        let (set, tag) = c.locate(0x1000);
+        let line = c.set_lines(set).iter().find(|l| l.holds(tag)).unwrap();
+        assert!(line.dirty() && line.line() == tag);
+        let (set, tag) = c.locate(0x2000);
+        let line = c.set_lines(set).iter().find(|l| l.holds(tag)).unwrap();
+        assert!(!line.dirty() && line.line() == tag);
+        let one_byte = LlcConfig {
+            line_bytes: 1,
+            ..*c.config()
+        };
+        assert!(one_byte.validate().unwrap_err().contains("at least 2"));
     }
 
     #[test]

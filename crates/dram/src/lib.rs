@@ -88,7 +88,7 @@ pub struct IssueOutcome {
     /// Rows closed by this command (explicit or auto precharge), with the
     /// cycle at which each precharge *begins* — the instant the row's cells
     /// start leaking again, which is what ChargeCache timestamps.
-    pub closed_rows: Vec<(BankLoc, RowId, BusCycle)>,
+    pub closed_rows: ClosedRows,
     /// For `REF` commands: the row range (first row, count) replenished,
     /// per the rotating refresh schedule. Covers *every bank* of the
     /// refreshed rank under all-bank refresh, or only
@@ -99,6 +99,63 @@ pub struct IssueOutcome {
     /// The single bank a per-bank `REFpb` covered; `None` for all-bank
     /// `REF` (and for non-refresh commands).
     pub refreshed_bank: Option<u8>,
+}
+
+/// One closed row: its bank, the row, and the cycle its precharge begins.
+pub type ClosedRow = (BankLoc, RowId, BusCycle);
+
+/// The rows one command closed, read as a slice (`Deref`). A PRE or an
+/// auto-precharge closes at most one row, which is held inline, so the
+/// issue path does not allocate; only a precharge-all that closes
+/// several rows does.
+#[derive(Debug, Clone, Default)]
+pub struct ClosedRows(Closed);
+
+#[derive(Debug, Clone, Default)]
+enum Closed {
+    #[default]
+    None,
+    One(ClosedRow),
+    Many(Vec<ClosedRow>),
+}
+
+impl ClosedRows {
+    pub(crate) fn push(&mut self, row: ClosedRow) {
+        self.0 = match std::mem::take(&mut self.0) {
+            Closed::None => Closed::One(row),
+            Closed::One(first) => Closed::Many(vec![first, row]),
+            Closed::Many(mut rows) => {
+                rows.push(row);
+                Closed::Many(rows)
+            }
+        };
+    }
+}
+
+impl std::ops::Deref for ClosedRows {
+    type Target = [ClosedRow];
+
+    fn deref(&self) -> &[ClosedRow] {
+        match &self.0 {
+            Closed::None => &[],
+            Closed::One(row) => std::slice::from_ref(row),
+            Closed::Many(rows) => rows,
+        }
+    }
+}
+
+impl PartialEq for ClosedRows {
+    fn eq(&self, other: &Self) -> bool {
+        self[..] == other[..]
+    }
+}
+
+impl Eq for ClosedRows {}
+
+impl PartialEq<Vec<ClosedRow>> for ClosedRows {
+    fn eq(&self, other: &Vec<ClosedRow>) -> bool {
+        self[..] == other[..]
+    }
 }
 
 /// A timestamped command, recorded for energy accounting and debugging.
@@ -349,6 +406,29 @@ mod tests {
         let (mut dev, cfg, loc) = setup();
         dev.issue(&Command::act(loc, 7), 0, cfg.timing.act_timings());
         dev.issue(&Command::rd(loc, 0), 1, cfg.timing.act_timings());
+    }
+
+    #[test]
+    fn closed_rows_hold_one_row_inline_and_read_as_a_slice() {
+        let loc = |bank| BankLoc {
+            channel: 0,
+            rank: 0,
+            bank,
+        };
+        let mut rows = ClosedRows::default();
+        assert!(rows.is_empty());
+        rows.push((loc(0), 7, 10));
+        assert!(
+            matches!(rows.0, Closed::One(_)),
+            "one row must not allocate"
+        );
+        assert_eq!(rows, vec![(loc(0), 7, 10)]);
+        rows.push((loc(1), 8, 10));
+        rows.push((loc(2), 9, 10));
+        assert_eq!(
+            rows,
+            vec![(loc(0), 7, 10), (loc(1), 8, 10), (loc(2), 9, 10)]
+        );
     }
 
     #[test]

@@ -8,14 +8,14 @@
 //! "oldest first" selection across banks reproduces the former flat-scan
 //! FIFO order bit-identically — that determinism contract is enforced by
 //! `tests/scheduler_equivalence.rs` against captures of the pre-rewrite
-//! scan order. Three structures replace the former O(queue) work per
+//! scan order. Two structures replace the former O(queue) work per
 //! scheduler pass:
 //!
 //! * **Per-bank request lists** (`entries`, ordered by age) — each
 //!   FR-FCFS class needs only a bank's *oldest* member, so one pass
-//!   inspects banks, not queue entries.
-//! * **Per-bank open-row hit lists** (`by_row`) — the oldest row hit and
-//!   the row-demand count the conflict gate consults are O(1) lookups.
+//!   inspects banks, not queue entries. The oldest open-row hit and the
+//!   row demand the conflict gate consults come from a scan of the
+//!   bank's own short list, so no per-row index is kept (or allocated).
 //! * **A row-keyed write index** (`wq_lines`) — read-enqueue forwarding
 //!   is a hash probe instead of a write-queue scan.
 //!
@@ -28,7 +28,10 @@
 //! constraints are monotone (commands elsewhere only delay a bank's
 //! legality) and every event that could advance a bank's legality — an
 //! enqueue to it, a command issued on it, its rank's refresh completing —
-//! re-arms its calendar slot.
+//! re-arms its calendar slot. The pass that walks the calendar returns
+//! its minimum, so the bound is not gathered by a second scan, and each
+//! bank's [`BankLoc`] is read from a per-channel table instead of being
+//! divided out of its flat index on every visit.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -89,34 +92,24 @@ impl PartialOrd for Inflight {
 
 impl_state!(Inflight { at, seq, p });
 
-/// One bank's share of a request queue: entries in global age order plus
-/// the row-keyed hit lists.
+/// One bank's share of a request queue, in global age order.
 ///
 /// Enqueue stamps are monotone, so a deque kept in arrival order *is*
 /// sorted by age — push-back insert, front-biased removal, no tree or
 /// heap maintenance. Buckets hold a queue's per-bank share (a handful of
-/// entries), so the occasional keyed lookup is a short scan.
+/// entries), so the keyed questions — a request by seq, the oldest
+/// request for a row, a row's demand — are short scans of the same
+/// list.
 #[derive(Debug, Default)]
 struct BankBucket {
     /// Queued requests as `(seq, entry)`, age-ascending; the front is the
     /// bank's oldest request.
     entries: VecDeque<(u64, Queued)>,
-    /// Row → age-ascending `(seq, column)` of queued requests targeting
-    /// it. The open row's list is the FR-FCFS hit class (the column
-    /// rides along so quoting needs no entry lookup); summed with the
-    /// sibling kind's list it is the row-demand count the conflict gate
-    /// and the closed-row policy consult (the former `row_demand` map,
-    /// folded into the index).
-    by_row: FastHashMap<RowId, VecDeque<(u64, u32)>>,
 }
 
 impl BankBucket {
     fn insert(&mut self, seq: u64, q: Queued) {
         debug_assert!(self.entries.back().is_none_or(|&(s, _)| s < seq));
-        self.by_row
-            .entry(q.p.addr.row)
-            .or_default()
-            .push_back((seq, q.p.addr.col));
         self.entries.push_back((seq, q));
     }
 
@@ -134,22 +127,7 @@ impl BankBucket {
         if at.is_none() {
             *misses += 1;
         }
-        let (_, q) = self.entries.remove(at?)?;
-        if let Some(list) = self.by_row.get_mut(&q.p.addr.row) {
-            // Hits issue oldest-first, so the seq is the front of its row
-            // list in every legal schedule.
-            if list.front().is_some_and(|&(s, _)| s == seq) {
-                list.pop_front();
-            } else if let Some(i) = list.iter().position(|&(s, _)| s == seq) {
-                debug_assert!(false, "request seq {seq} out of age order in its row list");
-                *misses += 1;
-                list.remove(i);
-            }
-            if list.is_empty() {
-                self.by_row.remove(&q.p.addr.row);
-            }
-        }
-        Some(q)
+        self.entries.remove(at?).map(|(_, q)| q)
     }
 
     fn is_empty(&self) -> bool {
@@ -161,9 +139,21 @@ impl BankBucket {
         self.entries.front().map(|(s, q)| (*s, q))
     }
 
+    /// The oldest queued request targeting `row`, as `(seq, column)`:
+    /// the bank's FR-FCFS hit candidate when `row` is open.
+    fn oldest_for(&self, row: RowId) -> Option<(u64, u32)> {
+        self.entries
+            .iter()
+            .find(|(_, q)| q.p.addr.row == row)
+            .map(|&(s, q)| (s, q.p.addr.col))
+    }
+
     /// Queued requests targeting `row` in this bucket.
     fn row_len(&self, row: RowId) -> u32 {
-        self.by_row.get(&row).map_or(0, |l| l.len() as u32)
+        self.entries
+            .iter()
+            .filter(|(_, q)| q.p.addr.row == row)
+            .count() as u32
     }
 
     fn get(&self, seq: u64) -> Option<&Queued> {
@@ -181,22 +171,21 @@ impl BankBucket {
     }
 }
 
-/// A bucket travels as its age-ordered entries; the row index is
-/// rebuilt on load.
+/// A bucket travels as its age-ordered entries.
 impl State for BankBucket {
     fn put(&self, out: &mut Vec<u8>) {
         self.entries.put(out);
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
-        let entries = VecDeque::<(u64, Queued)>::take(input)?;
-        self.entries.clear();
-        self.by_row.clear();
-        for (seq, q) in entries {
-            if self.entries.back().is_some_and(|&(s, _)| s >= seq) {
+        self.entries.load(input)?;
+        let mut seqs = self.entries.iter().map(|&(s, _)| s);
+        let mut prev = seqs.next();
+        for seq in seqs {
+            if prev.is_some_and(|p| p >= seq) {
                 return Err("bucket entries out of age order".to_string());
             }
-            self.insert(seq, q);
+            prev = Some(seq);
         }
         Ok(())
     }
@@ -239,6 +228,9 @@ pub(crate) struct ChannelCtrl {
     channel: u8,
     cfg: Arc<CtrlConfig>,
     banks_per_rank: u8,
+    /// Each flat bank index's location, so the scheduler walk never
+    /// divides one out.
+    bank_locs: Vec<BankLoc>,
     /// Per-bank read queue shares, indexed by [`BankLoc::flat_index`].
     read_banks: Vec<BankBucket>,
     /// Per-bank write queue shares.
@@ -299,6 +291,9 @@ impl ChannelCtrl {
             channel,
             cfg,
             banks_per_rank: banks,
+            bank_locs: (0..total)
+                .map(|b| BankLoc::from_flat_index(channel, b, banks))
+                .collect(),
             read_banks: (0..total).map(|_| BankBucket::default()).collect(),
             write_banks: (0..total).map(|_| BankBucket::default()).collect(),
             read_len: 0,
@@ -367,11 +362,12 @@ impl ChannelCtrl {
     }
 
     fn bank_loc(&self, bank: usize) -> BankLoc {
-        BankLoc::from_flat_index(self.channel, bank, self.banks_per_rank)
+        self.bank_locs[bank]
     }
 
     /// Number of queued requests (either kind) targeting `row` of bank
-    /// `bank` — the former `row_demand` map, read from the hit lists.
+    /// `bank`: the row demand the conflict gate and the closed-row policy
+    /// consult.
     fn demand(&self, bank: usize, row: RowId) -> u32 {
         self.read_banks[bank].row_len(row) + self.write_banks[bank].row_len(row)
     }
@@ -380,18 +376,6 @@ impl ChannelCtrl {
     /// `cycle` is `MAX`.
     fn set_bank_ready(&mut self, bank: usize, cycle: BusCycle) {
         self.bank_ready[bank] = cycle;
-    }
-
-    /// The calendar minimum: the earliest bank-ready cycle, or `None`
-    /// when every bank is parked.
-    fn calendar_min(&self) -> Option<BusCycle> {
-        let min = self
-            .bank_ready
-            .iter()
-            .copied()
-            .min()
-            .unwrap_or(BusCycle::MAX);
-        (min != BusCycle::MAX).then_some(min)
     }
 
     /// Drops one queued-write count for `p`'s line (on write issue).
@@ -461,15 +445,17 @@ impl ChannelCtrl {
         self.inflight.push(Reverse(Inflight { at, seq, p }));
     }
 
-    /// True if ticking at `now` would do anything: a completion is due or
-    /// the issue gate is open. A channel with no work needs no tick — the
-    /// cycle-skipping engine uses this to bypass idle boundaries (the
-    /// mechanism's time-based counters catch up at the next real tick).
-    pub(crate) fn has_work(&self, now: BusCycle) -> bool {
-        if self.next_try <= now {
-            return true;
+    /// The first bus cycle at which ticking this channel does anything:
+    /// the earlier of the issue gate ([`Self::next_try`]) and the next
+    /// read completion. Ticking before it is a no-op (the mechanism's
+    /// time-based counters catch up at the next real tick), which is
+    /// what lets the memory system answer `has_work` and `next_event`
+    /// from one cached cycle.
+    pub(crate) fn wake(&self) -> BusCycle {
+        match self.inflight.peek() {
+            Some(&Reverse(f)) => self.next_try.min(f.at),
+            None => self.next_try,
         }
-        matches!(self.inflight.peek(), Some(&Reverse(f)) if f.at <= now)
     }
 
     /// One bus cycle: collect completions into `done`, then issue at most
@@ -515,24 +501,6 @@ impl ChannelCtrl {
     /// leave invalidations unaccounted.
     pub(crate) fn sync_mech(&mut self, now: BusCycle) {
         self.mech.tick(now);
-    }
-
-    /// Earliest bus cycle strictly after `now` at which this channel can
-    /// do observable work: a read completion arriving, a queued request's
-    /// next command becoming legal, or the refresh duty engaging. O(1):
-    /// completions come from the deadline heap's root and command/refresh
-    /// events from the maintained [`Self::next_try`] bound.
-    ///
-    /// The bound is *sound* (never later than the real next event) but may
-    /// be conservative: waking the controller on a cycle where nothing
-    /// issues is a no-op, exactly as the dense per-cycle loop experiences
-    /// on most cycles.
-    pub(crate) fn next_event(&self, now: BusCycle, _device: &DramDevice) -> Option<BusCycle> {
-        let mut best = self.next_try.max(now + 1);
-        if let Some(&Reverse(f)) = self.inflight.peek() {
-            best = best.min(f.at.max(now + 1));
-        }
-        Some(best)
     }
 
     /// Earliest cycle the refresh duty can next act: the pending
@@ -600,19 +568,22 @@ impl ChannelCtrl {
             debug_assert!(!issued);
             return bound;
         }
-        let cands = self.eval_due_banks(now, device);
+        let (cands, cal_min) = self.eval_due_banks(now, device);
         debug_assert!(
             cands.iter().all(KindCands::is_empty),
             "post-issue evaluation found an issuable command"
         );
-        self.gathered_bound(now, device)
+        self.gathered_bound(now, device, cal_min)
     }
 
     /// The pass's no-issue bound: refresh duty merged with the bank-ready
-    /// calendar minimum, clamped to the future.
-    fn gathered_bound(&mut self, now: BusCycle, device: &DramDevice) -> BusCycle {
-        let mut bound = self.refresh_bound(now, device);
-        bound = merge(bound, self.calendar_min());
+    /// calendar minimum `cal_min` (`MAX` when every bank is parked),
+    /// clamped to the future.
+    fn gathered_bound(&self, now: BusCycle, device: &DramDevice, cal_min: BusCycle) -> BusCycle {
+        let bound = merge(
+            self.refresh_bound(now, device),
+            (cal_min != BusCycle::MAX).then_some(cal_min),
+        );
         bound.map_or(now + 1, |b| b.max(now + 1))
     }
 
@@ -620,11 +591,15 @@ impl ChannelCtrl {
     /// bank's calendar bound from fresh `earliest_issue` quotes and
     /// gathers the oldest issuable `(seq, bank)` per FR-FCFS class and
     /// kind. Banks whose cached bound lies in the future are skipped —
-    /// timing monotonicity keeps their bounds sound.
-    fn eval_due_banks(&mut self, now: BusCycle, device: &DramDevice) -> [KindCands; 2] {
+    /// timing monotonicity keeps their bounds sound. Also returns the
+    /// calendar minimum after the walk (`MAX` when every bank is parked).
+    fn eval_due_banks(&mut self, now: BusCycle, device: &DramDevice) -> ([KindCands; 2], BusCycle) {
         let mut cands = [KindCands::default(), KindCands::default()];
+        let mut cal_min = BusCycle::MAX;
         for bank in 0..self.bank_ready.len() {
-            if self.bank_ready[bank] > now {
+            let ready = self.bank_ready[bank];
+            if ready > now {
+                cal_min = cal_min.min(ready);
                 continue;
             }
             let loc = self.bank_loc(bank);
@@ -642,8 +617,9 @@ impl ChannelCtrl {
             self.stats.sched_bank_visits += 1;
             let bound = self.eval_bank(now, device, bank, &mut cands);
             self.set_bank_ready(bank, bound);
+            cal_min = cal_min.min(bound);
         }
-        cands
+        (cands, cal_min)
     }
 
     /// Classifies one bank's oldest candidates (both kinds) against its
@@ -677,11 +653,11 @@ impl ChannelCtrl {
             };
         match device.open_row(loc) {
             Some(open) => {
-                // One hit-list probe per kind answers both questions: the
-                // oldest row hit, and that kind's share of the row demand.
-                let read_hits = self.read_banks[bank].by_row.get(&open);
-                let write_hits = self.write_banks[bank].by_row.get(&open);
-                if let Some(&(seq, col)) = read_hits.and_then(|l| l.front()) {
+                // One scan per kind answers both questions: the oldest
+                // row hit, and whether that kind has demand for the row.
+                let read_hit = self.read_banks[bank].oldest_for(open);
+                let write_hit = self.write_banks[bank].oldest_for(open);
+                if let Some((seq, col)) = read_hit {
                     note(
                         &mut bound,
                         &mut cands[0].hit,
@@ -689,7 +665,7 @@ impl ChannelCtrl {
                         quote(&Command::rd(loc, col)),
                     );
                 }
-                if let Some(&(seq, col)) = write_hits.and_then(|l| l.front()) {
+                if let Some((seq, col)) = write_hit {
                     note(
                         &mut bound,
                         &mut cands[1].hit,
@@ -702,7 +678,7 @@ impl ChannelCtrl {
                 // quote instead. With zero demand every entry here
                 // conflicts, so each kind's oldest request is its PRE
                 // candidate, sharing one quote.
-                if read_hits.is_none() && write_hits.is_none() {
+                if read_hit.is_none() && write_hit.is_none() {
                     let t = quote(&Command::pre(loc));
                     for (ki, bucket) in [&self.read_banks[bank], &self.write_banks[bank]]
                         .into_iter()
@@ -764,7 +740,7 @@ impl ChannelCtrl {
             return self.fcfs_scan(now, device, true);
         }
 
-        let cands = self.eval_due_banks(now, device);
+        let (cands, cal_min) = self.eval_due_banks(now, device);
         for kind in self.kind_order() {
             let c = cands[kind_idx(kind)];
             if let Some((seq, bank)) = c.hit {
@@ -780,7 +756,7 @@ impl ChannelCtrl {
                 return (true, 0);
             }
         }
-        (false, self.gathered_bound(now, device))
+        (false, self.gathered_bound(now, device, cal_min))
     }
 
     /// Strict FCFS ablation: only the globally oldest request of each
@@ -1051,26 +1027,13 @@ impl ChannelCtrl {
         }
     }
 
-    /// True when the mechanism supports checkpointing (its
-    /// `save_state` hook succeeds).
-    pub(crate) fn checkpointable(&self) -> bool {
-        self.mech.save_state(&mut Vec::new())
-    }
-}
-
-/// The controller's complete mutable state (checkpoint support); only
-/// valid when [`ChannelCtrl::checkpointable`] holds. The mechanism's
-/// state travels as a length-prefixed byte run.
-///
-/// Derived indices (`by_row`, the queue length totals, `wq_lines`) are
-/// rebuilt on load from the serialized queue entries, and the in-flight
-/// heap is written in `(at, seq)` order, so the byte stream is a pure
-/// function of the logical scheduler state.
-impl State for ChannelCtrl {
-    fn put(&self, out: &mut Vec<u8>) {
-        let mut mech = Vec::new();
-        let supported = self.mech.save_state(&mut mech);
-        debug_assert!(supported, "checkpoint of a mechanism without state capture");
+    /// Appends the controller's [`State`] encoding to `out`. Returns
+    /// false, with `out` partly written, when the mechanism does not
+    /// support checkpointing; the caller truncates `out` back.
+    ///
+    /// The mechanism writes straight into `out` behind a length prefix
+    /// that is filled in afterwards, so each checkpoint encodes it once.
+    pub(crate) fn save_state(&self, out: &mut Vec<u8>) -> bool {
         put_slice(out, &self.read_banks);
         put_slice(out, &self.write_banks);
         self.age_seq.put(out);
@@ -1087,11 +1050,34 @@ impl State for ChannelCtrl {
         for p in &self.refresh_pending {
             p.put(out);
         }
-        put_usize(out, mech.len());
-        out.extend_from_slice(&mech);
+        let prefix = out.len();
+        put_usize(out, 0);
+        if !self.mech.save_state(out) {
+            return false;
+        }
+        let len = out.len() - prefix - 8;
+        // `put_usize` writes a `u64` little-endian.
+        out[prefix..prefix + 8].copy_from_slice(&(len as u64).to_le_bytes());
         self.rltl.put(out);
         self.reuse.put(out);
         self.stats.put(out);
+        true
+    }
+}
+
+/// The controller's complete mutable state (checkpoint support); only
+/// valid when the mechanism supports checkpointing (see
+/// [`ChannelCtrl::save_state`]). The mechanism's state travels as a
+/// length-prefixed byte run.
+///
+/// Derived state (the queue length totals, `wq_lines`) is rebuilt on
+/// load from the serialized queue entries, and the in-flight heap is
+/// written in `(at, seq)` order, so the byte stream is a pure function
+/// of the logical scheduler state.
+impl State for ChannelCtrl {
+    fn put(&self, out: &mut Vec<u8>) {
+        let supported = self.save_state(out);
+        debug_assert!(supported, "checkpoint of a mechanism without state capture");
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
@@ -1256,26 +1242,42 @@ mod tests {
             for ((_, bank, row), &(sbank, srow)) in merged.iter().zip(&shadow[ki]) {
                 assert_eq!((*bank, *row), (sbank, srow), "kind {kind:?} order diverged");
             }
-            // Row lists are age-ascending and consistent with the entries.
+            // The row scans agree with the entries: each row's oldest
+            // request leads it, and the row lengths sum to the bucket.
             for b in 0..c.bank_ready.len() {
                 let bucket = c.bucket(kind, b);
+                let mut rows: Vec<RowId> =
+                    bucket.entries.iter().map(|(_, q)| q.p.addr.row).collect();
+                rows.sort_unstable();
+                rows.dedup();
                 let mut listed = 0;
-                for (row, list) in &bucket.by_row {
-                    assert!(!list.is_empty());
+                for row in rows {
+                    let (s, col) = bucket.oldest_for(row).unwrap();
+                    let q = bucket.get(s).unwrap();
+                    assert_eq!((q.p.addr.row, q.p.addr.col), (row, col));
                     assert!(
-                        list.iter().zip(list.iter().skip(1)).all(|(a, b)| a.0 < b.0),
-                        "row list out of age order"
+                        bucket
+                            .entries
+                            .iter()
+                            .all(|&(t, e)| e.p.addr.row != row || t >= s),
+                        "a request older than the row's oldest"
                     );
-                    listed += list.len();
-                    for &(s, col) in list {
-                        let q = bucket.get(s).unwrap();
-                        assert_eq!(q.p.addr.row, *row);
-                        assert_eq!(q.p.addr.col, col);
-                    }
+                    listed += bucket.row_len(row) as usize;
                 }
                 assert_eq!(listed, bucket.entries.len());
+                assert_eq!(bucket.oldest_for(RowId::MAX), None);
             }
         }
+    }
+
+    #[test]
+    fn bank_loc_table_matches_the_flat_index() {
+        let (c, _) = ctrl(CtrlConfig::paper_single_core());
+        for (bank, &loc) in c.bank_locs.iter().enumerate() {
+            assert_eq!(loc, BankLoc::from_flat_index(0, bank, c.banks_per_rank));
+            assert_eq!(loc.flat_index(c.banks_per_rank), bank);
+        }
+        assert_eq!(c.bank_locs.len(), c.bank_ready.len());
     }
 
     #[test]

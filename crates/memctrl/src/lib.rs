@@ -53,7 +53,7 @@ use chargecache::{
 };
 use controller::ChannelCtrl;
 use dram::{AddressMapper, BusCycle, DramConfig, DramDevice};
-use fasthash::codec::{load_slice, put_slice, CodecResult, State};
+use fasthash::codec::{load_slice, put_usize, CodecResult, State};
 
 use crate::request::Pending;
 
@@ -64,6 +64,11 @@ pub struct MemorySystem {
     mapper: AddressMapper,
     channels: Vec<ChannelCtrl>,
     next_id: RequestId,
+    /// The earliest channel wake cycle (`ChannelCtrl::wake`): no tick
+    /// before it does anything. `tick_into` and `load` recompute it and
+    /// `try_enqueue` lowers it, so [`Self::has_work`] and
+    /// [`Self::next_event`] are O(1) reads.
+    wake: BusCycle,
 }
 
 impl MemorySystem {
@@ -98,12 +103,25 @@ impl MemorySystem {
             .map(|(ch, mech)| ChannelCtrl::new(ch as u8, Arc::clone(&ctrl_cfg), mech, &dram_cfg))
             .collect();
         let device = DramDevice::new(dram_cfg);
-        Self {
+        let mut mem = Self {
             device,
             mapper,
             channels,
             next_id: 0,
-        }
+            wake: 0,
+        };
+        mem.rewake();
+        mem
+    }
+
+    /// Recomputes the cached wake cycle from every channel.
+    fn rewake(&mut self) {
+        self.wake = self
+            .channels
+            .iter()
+            .map(ChannelCtrl::wake)
+            .min()
+            .unwrap_or(BusCycle::MAX);
     }
 
     /// Convenience: a system with baseline (specification) timing.
@@ -179,6 +197,8 @@ impl MemorySystem {
             },
             now,
         );
+        // An enqueue only opens the issue gate or adds a completion.
+        self.wake = self.wake.min(ctrl.wake());
         Some(id)
     }
 
@@ -195,13 +215,15 @@ impl MemorySystem {
         for ch in &mut self.channels {
             ch.tick(now, &mut self.device, done);
         }
+        self.rewake();
     }
 
     /// True if any channel would do observable work when ticked at `now`
     /// (a due completion or an open issue gate). The cycle-skipping
     /// engine bypasses the tick entirely on boundaries with no work.
+    /// O(1): a read of the cached wake cycle.
     pub fn has_work(&self, now: BusCycle) -> bool {
-        self.channels.iter().any(|ch| ch.has_work(now))
+        self.wake <= now
     }
 
     /// Earliest bus cycle strictly after `now` at which any channel can do
@@ -209,11 +231,9 @@ impl MemorySystem {
     /// cycle-skipping engine advances time directly to this cycle when the
     /// CPU side is quiescent; ticking every intermediate cycle would be a
     /// no-op. The bound is sound (never late) but may be conservative.
+    /// O(1): the cached wake cycle, clamped to the future.
     pub fn next_event(&self, now: BusCycle) -> Option<BusCycle> {
-        self.channels
-            .iter()
-            .filter_map(|ch| ch.next_event(now, &self.device))
-            .min()
+        Some(self.wake.max(now + 1))
     }
 
     /// Catches time-based mechanism state (invalidation counters, expiry
@@ -250,22 +270,16 @@ impl MemorySystem {
         agg
     }
 
-    /// Row-reuse-distance report aggregated across channels.
+    /// Row-reuse-distance report aggregated across channels (the
+    /// channels' counters are summed; no tracker is copied).
     pub fn reuse_report(&self) -> ReuseReport {
-        let mut agg = self.channels[0].reuse().clone();
-        for ch in &self.channels[1..] {
-            agg.absorb(ch.reuse());
-        }
-        agg.report()
+        RowReuseTracker::report_all(self.channels.iter().map(ChannelCtrl::reuse))
     }
 
-    /// RLTL report aggregated across channels.
+    /// RLTL report aggregated across channels (the channels' counters
+    /// are summed; no tracker is copied).
     pub fn rltl_report(&self) -> RltlReport {
-        let mut agg = self.channels[0].rltl().clone();
-        for ch in &self.channels[1..] {
-            agg.absorb(ch.rltl());
-        }
-        agg.report()
+        RltlTracker::report_all(self.channels.iter().map(ChannelCtrl::rltl))
     }
 
     /// Mechanism statistics aggregated across channels (named counters
@@ -278,22 +292,32 @@ impl MemorySystem {
         agg
     }
 
-    /// True when every channel's mechanism supports checkpoint
-    /// save/restore, i.e. when the [`State`] encoding is available.
-    pub fn checkpointable(&self) -> bool {
-        self.channels.iter().all(ChannelCtrl::checkpointable)
+    /// Appends the memory system's [`State`] encoding to `out` and
+    /// returns true, or returns false — leaving `out` as it was — when a
+    /// channel's mechanism does not support checkpointing. Each
+    /// mechanism is encoded once, straight into `out`.
+    pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
+        let start = out.len();
+        self.next_id.put(out);
+        // The `put_slice` layout: a count, then each channel.
+        put_usize(out, self.channels.len());
+        if !self.channels.iter().all(|ch| ch.save_state(out)) {
+            out.truncate(start);
+            return false;
+        }
+        self.device.put(out);
+        true
     }
 }
 
 /// The complete memory-system state — request-id counter, every channel
 /// controller (queues, calendars, mechanism, trackers) and the DRAM
-/// device — for checkpointing. Encode only when
-/// [`MemorySystem::checkpointable`] holds.
+/// device — for checkpointing. Encode only when every mechanism supports
+/// it; [`MemorySystem::save_state`] is the checked form.
 impl State for MemorySystem {
     fn put(&self, out: &mut Vec<u8>) {
-        self.next_id.put(out);
-        put_slice(out, &self.channels);
-        self.device.put(out);
+        let supported = self.save_state(out);
+        debug_assert!(supported, "checkpoint of a mechanism without state capture");
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
@@ -301,7 +325,9 @@ impl State for MemorySystem {
         load_slice(input, &mut self.channels, |n, have| {
             format!("channel count mismatch: checkpoint has {n}, system has {have}")
         })?;
-        self.device.load(input)
+        self.device.load(input)?;
+        self.rewake();
+        Ok(())
     }
 }
 
@@ -469,6 +495,119 @@ mod tests {
         }
         assert_eq!(accepted, 64);
         assert!(!mem.can_accept(0, AccessKind::Read));
+    }
+
+    /// A two-channel ChargeCache system after a burst of row-hopping
+    /// reads and writes.
+    fn two_channel_traffic() -> MemorySystem {
+        let mut cfg = DramConfig::ddr3_1600_paper();
+        cfg.org.channels = 2;
+        let mut mem = MemorySystem::from_spec(
+            cfg.clone(),
+            CtrlConfig::default(),
+            &MechanismSpec::chargecache(),
+            1,
+        )
+        .expect("built-in spec");
+        let stride = cfg.org.row_bytes() * 3 + 64 * 5;
+        let mut done = Vec::new();
+        for now in 0..20_000 {
+            if now % 40 == 0 {
+                let addr = (now / 40 % 97) * stride;
+                let req = if now % 120 == 0 {
+                    write(addr)
+                } else {
+                    read(addr)
+                };
+                mem.try_enqueue(req, now);
+            }
+            mem.tick_into(now, &mut done);
+        }
+        assert!(mem.channels.iter().all(|ch| ch.rltl().activations() > 0));
+        mem
+    }
+
+    #[test]
+    fn report_all_equals_the_clone_and_absorb_fold() {
+        let mem = two_channel_traffic();
+        let mut rltl = mem.channels[0].rltl().clone();
+        rltl.absorb(mem.channels[1].rltl());
+        assert_eq!(mem.rltl_report(), rltl.report());
+        let mut reuse = mem.channels[0].reuse().clone();
+        reuse.absorb(mem.channels[1].reuse());
+        assert_eq!(mem.reuse_report(), reuse.report());
+    }
+
+    #[test]
+    fn cached_wake_answers_like_the_channels() {
+        let mut mem = two_channel_traffic();
+        let check = |mem: &MemorySystem, now: BusCycle| {
+            let wake = mem.channels.iter().map(ChannelCtrl::wake).min().unwrap();
+            assert_eq!(mem.wake, wake, "stale wake at {now}");
+            for at in [now, now + 1, now + 50] {
+                assert_eq!(mem.has_work(at), wake <= at);
+                assert_eq!(mem.next_event(at), Some(wake.max(at + 1)));
+            }
+        };
+        let mut done = Vec::new();
+        for now in 20_000..22_000 {
+            if now % 7 == 0 {
+                mem.try_enqueue(read(now * 4096), now);
+                check(&mem, now);
+            }
+            mem.tick_into(now, &mut done);
+            check(&mem, now);
+        }
+        // A restored system recomputes its wake.
+        let mut bytes = Vec::new();
+        assert!(mem.save_state(&mut bytes));
+        let mut cfg = DramConfig::ddr3_1600_paper();
+        cfg.org.channels = 2;
+        let mut back =
+            MemorySystem::from_spec(cfg, CtrlConfig::default(), &MechanismSpec::chargecache(), 1)
+                .unwrap();
+        back.load(&mut bytes.as_slice()).unwrap();
+        assert_eq!(back.wake, mem.wake);
+    }
+
+    #[test]
+    fn declined_checkpoint_leaves_the_output_untouched() {
+        struct NoState(Baseline);
+        impl LatencyMechanism for NoState {
+            fn name(&self) -> &str {
+                "no-state"
+            }
+            fn on_activate(
+                &mut self,
+                now: BusCycle,
+                core: usize,
+                key: chargecache::RowKey,
+                refresh_age: BusCycle,
+            ) -> dram::ActTimings {
+                self.0.on_activate(now, core, key, refresh_age)
+            }
+            fn on_precharge(&mut self, now: BusCycle, core: usize, key: chargecache::RowKey) {
+                self.0.on_precharge(now, core, key);
+            }
+            fn report_stats(&self, out: &mut dyn chargecache::StatSink) {
+                self.0.report_stats(out);
+            }
+        }
+        let cfg = DramConfig::ddr3_1600_paper();
+        let mut mem = MemorySystem::new(
+            cfg.clone(),
+            CtrlConfig::default(),
+            vec![Box::new(NoState(Baseline::new(&cfg.timing)))],
+        );
+        mem.try_enqueue(read(0x4000), 0).unwrap();
+        run(&mut mem, 0, 100);
+        let mut out = vec![1, 2, 3];
+        assert!(!mem.save_state(&mut out));
+        assert_eq!(out, [1, 2, 3]);
+        let mut base = MemorySystem::baseline(cfg, CtrlConfig::default());
+        assert!(base.save_state(&mut out));
+        assert_eq!(&out[..3], [1, 2, 3]);
+        base.load(&mut &out[3..]).unwrap();
     }
 
     #[test]

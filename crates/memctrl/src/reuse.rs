@@ -14,7 +14,10 @@
 //! timestamp + Fenwick-tree formulation (each row's *latest* activation
 //! slot carries a mark; the stack distance is the number of marks after
 //! the row's previous slot), replacing the former O(depth) linear stack
-//! scan that dominated simulator time on low-locality workloads.
+//! scan that dominated simulator time on low-locality workloads. The
+//! timeline holds one slot per activation since the last compaction, so
+//! its memory grows with the activations a run makes, up to a fixed
+//! bound, instead of being allocated for the bound up front.
 
 use chargecache::RowKey;
 use fasthash::codec::{load_slice, put_slice, put_sorted_map, CodecResult, State};
@@ -66,23 +69,46 @@ impl ReuseReport {
     }
 }
 
-/// Binary indexed tree counting marked activation slots.
+/// Binary indexed tree counting marked activation slots, one node per
+/// slot in use. Node `i` covers slots `(i - lowbit(i), i]` whatever the
+/// tree's length, so the tree grows by appending a slot's node once.
 #[derive(Debug, Clone)]
 struct Fenwick {
+    /// `tree[i]` counts the marks in node `i`'s range; `tree[0]` is
+    /// unused.
     tree: Vec<u32>,
     total: u64,
 }
 
+/// The lowest set bit of `i`: the length of Fenwick node `i`'s range.
+fn lowbit(i: usize) -> usize {
+    i & i.wrapping_neg()
+}
+
 impl Fenwick {
-    fn new(capacity: usize) -> Self {
+    /// A tree over `slots` unmarked slots.
+    fn new(slots: usize) -> Self {
         Self {
-            tree: vec![0; capacity + 1],
+            tree: vec![0; slots + 1],
             total: 0,
         }
     }
 
-    fn capacity(&self) -> usize {
-        self.tree.len() - 1
+    /// Resets the tree to `slots` slots, every one marked, in place.
+    fn mark_all(&mut self, slots: usize) {
+        self.tree.clear();
+        self.tree.extend((0..=slots).map(|i| lowbit(i) as u32));
+        self.total = slots as u64;
+    }
+
+    /// Appends a marked slot after the last one.
+    fn push_marked(&mut self) {
+        let i = self.tree.len();
+        // The new node's range holds the marks already in slots
+        // `(i - lowbit(i), i)`, plus the new one.
+        let before = self.prefix(i - 1) - self.prefix(i - lowbit(i));
+        self.tree.push(before as u32 + 1);
+        self.total += 1;
     }
 
     /// Adds ±1 at 1-indexed slot `i`.
@@ -98,7 +124,7 @@ impl Fenwick {
             } else {
                 self.tree[i] -= 1;
             }
-            i += i & i.wrapping_neg();
+            i += lowbit(i);
         }
     }
 
@@ -107,7 +133,7 @@ impl Fenwick {
         let mut sum = 0u64;
         while i > 0 {
             sum += u64::from(self.tree[i]);
-            i -= i & i.wrapping_neg();
+            i -= lowbit(i);
         }
         sum
     }
@@ -119,16 +145,19 @@ impl Fenwick {
 /// entries, but with O(log n) activations: each row's latest activation
 /// occupies a timestamp slot marked in a Fenwick tree, and the stack
 /// position of a re-activated row is the count of marks after its
-/// previous slot. Slots compact in recency order when the timeline fills.
+/// previous slot. Slots compact in recency order when the timeline fills;
+/// until then it grows by one slot per activation.
 #[derive(Debug, Clone)]
 pub struct RowReuseTracker {
     /// Row → 1-indexed slot of its latest activation.
     last_slot: FastHashMap<RowKey, usize>,
-    /// Row occupying each slot (for compaction), parallel to the tree.
+    /// Row activated in each slot (for compaction), parallel to the
+    /// tree; `slot_row[0]` is unused, so the next free slot is
+    /// `slot_row.len()`.
     slot_row: Vec<RowKey>,
     bit: Fenwick,
-    /// Next free 1-indexed slot.
-    next_slot: usize,
+    /// Slots the timeline may hold before it compacts.
+    capacity: usize,
     /// Maximum tracked depth.
     depth: usize,
     /// Histogram counts, bucket i = distance in (2^(i-1), 2^i].
@@ -146,12 +175,11 @@ impl RowReuseTracker {
     pub fn new(depth: usize) -> Self {
         assert!(depth > 0, "depth must be non-zero");
         let buckets = (usize::BITS - (depth - 1).leading_zeros()) as usize + 1;
-        let capacity = (4 * depth).max(1024);
         Self {
             last_slot: FastHashMap::default(),
-            slot_row: vec![RowKey::new(0, 0, 0, 0); capacity + 1],
-            bit: Fenwick::new(capacity),
-            next_slot: 1,
+            slot_row: vec![RowKey::default()],
+            bit: Fenwick::new(0),
+            capacity: (4 * depth).max(1024),
             depth,
             counts: vec![0; buckets.max(1)],
             cold_or_beyond: 0,
@@ -172,7 +200,7 @@ impl RowReuseTracker {
         let live = self.bit.total as usize;
         if live > self.depth {
             let mut to_prune = live - self.depth;
-            for old in 1..self.next_slot {
+            for old in 1..self.slot_row.len() {
                 if to_prune == 0 {
                     break;
                 }
@@ -184,24 +212,20 @@ impl RowReuseTracker {
                 }
             }
         }
-        // Renumber the survivors; ≤ depth ≤ capacity/4, so the timeline
-        // never needs to grow.
-        let capacity = self.bit.capacity();
-        let mut bit = Fenwick::new(capacity);
-        let mut slot_row = vec![RowKey::new(0, 0, 0, 0); capacity + 1];
+        // Renumber the survivors (≤ depth ≤ capacity/4) in place, oldest
+        // first: a survivor's new slot never lies after its old one, and
+        // a stale slot never equals a renumbered row's new slot.
         let mut next = 1usize;
-        for old in 1..self.next_slot {
+        for old in 1..self.slot_row.len() {
             let row = self.slot_row[old];
             if self.last_slot.get(&row) == Some(&old) {
-                bit.add(next, true);
-                slot_row[next] = row;
+                self.slot_row[next] = row;
                 self.last_slot.insert(row, next);
                 next += 1;
             }
         }
-        self.bit = bit;
-        self.slot_row = slot_row;
-        self.next_slot = next;
+        self.slot_row.truncate(next);
+        self.bit.mark_all(next - 1);
     }
 
     /// Number of rows currently tracked — bounded by `depth` at every
@@ -215,14 +239,13 @@ impl RowReuseTracker {
     /// cold/beyond-depth activations).
     pub fn on_activate(&mut self, key: RowKey) -> Option<u64> {
         self.activations += 1;
-        if self.next_slot > self.bit.capacity() {
+        if self.slot_row.len() > self.capacity {
             self.compact();
         }
-        let slot = self.next_slot;
-        self.next_slot += 1;
+        let slot = self.slot_row.len();
         let prev = self.last_slot.insert(key, slot);
-        self.bit.add(slot, true);
-        self.slot_row[slot] = key;
+        self.bit.push_marked();
+        self.slot_row.push(key);
         let dist = match prev {
             Some(p) => {
                 // Marks strictly after the previous slot (excluding the
@@ -264,6 +287,25 @@ impl RowReuseTracker {
         }
     }
 
+    /// The report of several trackers' summed histograms (one per
+    /// channel): what [`Self::absorb`]ing them into a copy of the first
+    /// reports, without copying any tracker's timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trackers` is empty or their depths differ.
+    pub fn report_all<'a>(trackers: impl IntoIterator<Item = &'a RowReuseTracker>) -> ReuseReport {
+        let mut trackers = trackers.into_iter().peekable();
+        let depth = trackers.peek().expect("at least one tracker").depth;
+        // A fresh tracker's timeline is empty, so the fold copies only
+        // the histograms.
+        let mut agg = RowReuseTracker::new(depth);
+        for t in trackers {
+            agg.absorb(t);
+        }
+        agg.report()
+    }
+
     /// Merges another tracker's histogram (stacks are not merged).
     pub fn absorb(&mut self, other: &RowReuseTracker) {
         assert_eq!(self.counts.len(), other.counts.len());
@@ -277,14 +319,14 @@ impl RowReuseTracker {
 
 /// The tracker's mutable state (checkpoint support).
 ///
-/// Only the row → latest-slot map and the histogram counters are
-/// written: the Fenwick marks are exactly the latest slots, and stale
-/// `slot_row` entries are never consulted (compaction checks `last_slot`
-/// before trusting a slot), so both are rebuilt on load.
+/// Only the row → latest-slot map, the next free slot and the histogram
+/// counters are written: the Fenwick marks are exactly the latest slots,
+/// and stale `slot_row` entries are never consulted (compaction checks
+/// `last_slot` before trusting a slot), so both are rebuilt on load.
 impl State for RowReuseTracker {
     fn put(&self, out: &mut Vec<u8>) {
         put_sorted_map(out, &self.last_slot);
-        self.next_slot.put(out);
+        self.slot_row.len().put(out);
         put_slice(out, &self.counts);
         self.cold_or_beyond.put(out);
         self.activations.put(out);
@@ -294,8 +336,7 @@ impl State for RowReuseTracker {
         // The map's sorted pairs, kept as a list so duplicates show.
         let items = Vec::<(RowKey, usize)>::take(input)?;
         let next_slot = usize::take(input)?;
-        let capacity = self.bit.capacity();
-        if next_slot == 0 || next_slot > capacity + 1 {
+        if next_slot == 0 || next_slot > self.capacity + 1 {
             return Err(format!("reuse next_slot {next_slot} out of range"));
         }
         load_slice(input, &mut self.counts, |n, have| {
@@ -305,8 +346,8 @@ impl State for RowReuseTracker {
         self.activations.load(input)?;
 
         let mut last_slot = FastHashMap::default();
-        let mut slot_row = vec![RowKey::new(0, 0, 0, 0); capacity + 1];
-        let mut bit = Fenwick::new(capacity);
+        let mut slot_row = vec![RowKey::default(); next_slot];
+        let mut bit = Fenwick::new(next_slot - 1);
         for (key, slot) in items {
             if slot == 0 || slot >= next_slot {
                 return Err(format!("reuse slot {slot} out of range"));
@@ -314,7 +355,7 @@ impl State for RowReuseTracker {
             if last_slot.insert(key, slot).is_some() {
                 return Err("reuse row listed twice".to_string());
             }
-            if slot_row[slot] != RowKey::new(0, 0, 0, 0) && slot_row[slot] != key {
+            if slot_row[slot] != RowKey::default() && slot_row[slot] != key {
                 return Err(format!("reuse slot {slot} occupied twice"));
             }
             slot_row[slot] = key;
@@ -323,7 +364,6 @@ impl State for RowReuseTracker {
         self.last_slot = last_slot;
         self.slot_row = slot_row;
         self.bit = bit;
-        self.next_slot = next_slot;
         Ok(())
     }
 }
@@ -411,6 +451,63 @@ mod tests {
         // …and an ancient (pruned) row classifies cold, exactly like the
         // former bounded stack.
         assert_eq!(t.on_activate(key(0)), None);
+    }
+
+    /// The LRU stack distance by definition: the position of `key` in a
+    /// most-recent-first stack of distinct rows, `None` beyond `depth`.
+    fn stack_distance(stack: &mut Vec<RowKey>, key: RowKey, depth: usize) -> Option<u64> {
+        let pos = stack.iter().position(|&k| k == key);
+        if let Some(p) = pos {
+            stack.remove(p);
+        }
+        stack.insert(0, key);
+        stack.truncate(depth);
+        pos.map(|p| p as u64 + 1)
+    }
+
+    #[test]
+    fn growing_timeline_matches_a_reference_stack() {
+        let mut t = RowReuseTracker::new(16);
+        // Nothing is allocated for the timeline up front.
+        assert_eq!((t.slot_row.len(), t.bit.tree.len()), (1, 1));
+        let mut stack = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for i in 0..5_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            // A small hot set and a wide cold one, so distances span the
+            // depth and compactions prune.
+            let row = if x >> 62 == 0 {
+                (x >> 32) % 400
+            } else {
+                (x >> 32) % 12
+            };
+            let k = key(row as u32);
+            assert_eq!(
+                t.on_activate(k),
+                stack_distance(&mut stack, k, 16),
+                "activation {i}"
+            );
+            assert!(t.slot_row.len() <= t.capacity + 1);
+            assert_eq!(t.bit.tree.len(), t.slot_row.len());
+        }
+    }
+
+    #[test]
+    fn report_all_equals_the_absorb_fold() {
+        let mut a = RowReuseTracker::new(64);
+        let mut b = RowReuseTracker::new(64);
+        for r in [1, 2, 1, 3, 3, 2] {
+            a.on_activate(key(r));
+        }
+        for r in [5, 5, 6, 5] {
+            b.on_activate(key(r));
+        }
+        let mut folded = a.clone();
+        folded.absorb(&b);
+        assert_eq!(RowReuseTracker::report_all([&a, &b]), folded.report());
+        assert_eq!(RowReuseTracker::report_all([&a]), a.report());
     }
 
     #[test]

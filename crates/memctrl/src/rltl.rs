@@ -137,6 +137,32 @@ impl RltlTracker {
         }
     }
 
+    /// The report of several trackers' summed counts (one per channel):
+    /// what [`Self::absorb`]ing them into a copy of the first reports,
+    /// without copying any tracker's per-row state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `trackers` is empty or their interval sets differ.
+    pub fn report_all<'a>(trackers: impl IntoIterator<Item = &'a RltlTracker>) -> RltlReport {
+        let mut trackers = trackers.into_iter();
+        let first = trackers.next().expect("at least one tracker");
+        let mut agg = RltlTracker {
+            bounds: first.bounds.clone(),
+            intervals_ms: first.intervals_ms.clone(),
+            counts: first.counts.clone(),
+            beyond: first.beyond,
+            refresh_hits: first.refresh_hits,
+            refresh_window: first.refresh_window,
+            activations: first.activations,
+            last_pre: FastHashMap::default(),
+        };
+        for t in trackers {
+            agg.absorb(t);
+        }
+        agg.report()
+    }
+
     /// Merges another tracker's aggregate counts (used to combine
     /// channels). Per-row state is not merged.
     pub fn absorb(&mut self, other: &RltlTracker) {

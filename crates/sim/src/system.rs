@@ -39,11 +39,17 @@ pub struct System {
     fills: FastHashMap<RequestId, u64>,
     /// Loads waiting on an in-flight line: line → (core, load).
     waiters: FastHashMap<u64, Vec<(usize, LoadId)>>,
+    /// Emptied waiter lists, reused for the next miss's waiters.
+    spare_waiters: Vec<Vec<(usize, LoadId)>>,
     /// Dirty evictions waiting for write-queue space: (line, core).
     wb_backlog: VecDeque<(u64, usize)>,
     /// Per-core sleep bookkeeping for the event engine.
     sleep: Vec<SleepState>,
-    /// Reusable completion buffer (keeps the hot loop allocation-free).
+    /// Reusable completion buffer. With it, the reused waiter lists and
+    /// a memory system whose request path allocates nothing (no per-row
+    /// index, closed rows held inline), a bus tick or an LLC miss makes
+    /// no heap allocation once the run's tables and queues have grown to
+    /// their working size.
     completions: Vec<memctrl::Completion>,
     now: u64,
     /// `now / cpu_per_bus`, maintained incrementally (recomputed after a
@@ -132,6 +138,7 @@ impl System {
             mem,
             fills: FastHashMap::default(),
             waiters: FastHashMap::default(),
+            spare_waiters: Vec::new(),
             wb_backlog: VecDeque::new(),
             sleep,
             completions: Vec::new(),
@@ -191,6 +198,7 @@ impl System {
             mem,
             fills,
             waiters,
+            spare_waiters,
             wb_backlog,
             ..
         } = self;
@@ -203,6 +211,7 @@ impl System {
                     mem,
                     fills,
                     waiters,
+                    spare_waiters,
                     wb_backlog,
                     now,
                     bus_now,
@@ -243,8 +252,8 @@ impl System {
                 if let Some(wb) = self.llc.fill(line) {
                     self.wb_backlog.push_back((wb, c.core));
                 }
-                if let Some(ws) = self.waiters.remove(&line) {
-                    for (core, load) in ws {
+                if let Some(mut ws) = self.waiters.remove(&line) {
+                    for (core, load) in ws.drain(..) {
                         self.cores[core].complete_load(load);
                         // Data for a sleeping core is its wake-up call.
                         let st = &mut self.sleep[core];
@@ -253,6 +262,7 @@ impl System {
                             *st = SleepState::AWAKE;
                         }
                     }
+                    self.spare_waiters.push(ws);
                 }
             }
         }
@@ -292,6 +302,7 @@ impl System {
             mem,
             fills,
             waiters,
+            spare_waiters,
             wb_backlog,
             sleep,
             ..
@@ -313,6 +324,7 @@ impl System {
                     mem,
                     fills,
                     waiters,
+                    spare_waiters,
                     wb_backlog,
                     now,
                     bus_now,
@@ -423,17 +435,25 @@ impl System {
     ///
     /// Returns `false` — leaving `out` untouched — when the configured
     /// mechanism does not support checkpointing (extension and plugin
-    /// mechanisms opt in via `LatencyMechanism::save_state`).
+    /// mechanisms opt in via `LatencyMechanism::save_state`). The state
+    /// is encoded once: a declining mechanism rolls `out` back.
     pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
         debug_assert!(
             self.sleep.iter().all(|s| !s.asleep),
             "checkpoint taken with sleeping cores (not at a run boundary)"
         );
         debug_assert!(self.completions.is_empty());
-        if !self.mem.checkpointable() {
+        let start = out.len();
+        self.now.put(out);
+        put_slice(out, &self.cores);
+        self.llc.put(out);
+        put_sorted_map(out, &self.fills);
+        put_sorted_map(out, &self.waiters);
+        self.wb_backlog.put(out);
+        if !self.mem.save_state(out) {
+            out.truncate(start);
             return false;
         }
-        self.put(out);
         true
     }
 
@@ -490,15 +510,12 @@ impl System {
     }
 }
 
+/// The [`System::save_state`] encoding; encode only at a run boundary
+/// and when the mechanism supports checkpointing.
 impl State for System {
     fn put(&self, out: &mut Vec<u8>) {
-        self.now.put(out);
-        put_slice(out, &self.cores);
-        self.llc.put(out);
-        put_sorted_map(out, &self.fills);
-        put_sorted_map(out, &self.waiters);
-        self.wb_backlog.put(out);
-        self.mem.put(out);
+        let supported = self.save_state(out);
+        debug_assert!(supported, "checkpoint of a mechanism without state capture");
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
@@ -518,6 +535,7 @@ impl State for System {
             return Err(format!("backlog core {core} out of range"));
         }
         self.mem.load(input)?;
+        self.spare_waiters.clear();
         for s in &mut self.sleep {
             *s = SleepState::AWAKE;
         }
@@ -553,6 +571,7 @@ fn service_access(
     mem: &mut MemorySystem,
     fills: &mut FastHashMap<RequestId, u64>,
     waiters: &mut FastHashMap<u64, Vec<(usize, LoadId)>>,
+    spare_waiters: &mut Vec<Vec<(usize, LoadId)>>,
     wb_backlog: &mut VecDeque<(u64, usize)>,
     now: u64,
     bus_now: u64,
@@ -577,7 +596,9 @@ fn service_access(
             match mem.try_enqueue(req, bus_now) {
                 Some(id) => {
                     fills.insert(id, line);
-                    waiters.insert(line, vec![(access.core, access.load_id)]);
+                    let mut ws = spare_waiters.pop().unwrap_or_default();
+                    ws.push((access.core, access.load_id));
+                    waiters.insert(line, ws);
                     AccessReply::Pending
                 }
                 None => AccessReply::Retry,
