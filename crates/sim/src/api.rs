@@ -1152,6 +1152,8 @@ pub enum Metric {
     RltlFraction(usize),
     /// Fraction of activations within 8 ms of the row's refresh.
     RefreshFraction,
+    /// Row activations the RLTL tracker observed.
+    Activations,
 }
 
 impl Cell {
@@ -1199,6 +1201,7 @@ impl Cell {
             Metric::CpuCycles => r.cpu_cycles as f64,
             Metric::RltlFraction(i) => r.rltl.rltl_fraction.get(i).copied().unwrap_or(f64::NAN),
             Metric::RefreshFraction => r.rltl.refresh_8ms_fraction,
+            Metric::Activations => r.rltl.activations as f64,
         }
     }
 
