@@ -178,16 +178,6 @@ fn pct(x: f64) -> String {
     }
 }
 
-/// A metric of one cell. The RLTL fractions of a run without activations
-/// are undefined, so averages skip that run.
-fn metric(c: &Cell, m: Metric) -> f64 {
-    let rltl = matches!(m, Metric::RltlFraction(_) | Metric::RefreshFraction);
-    if rltl && c.result().rltl.activations == 0 {
-        return f64::NAN;
-    }
-    c.metric(m)
-}
-
 fn defined(xs: &[f64]) -> impl Iterator<Item = f64> + '_ {
     xs.iter().copied().filter(|x| !x.is_nan())
 }
@@ -258,11 +248,11 @@ impl Panel {
         };
         let value = |s: &str, p: &str, col: &Column| {
             let (c, base) = (at(s, p, col.mechanism), || at(s, p, "baseline"));
-            let energy = |c| metric(c, Metric::EnergyMj);
+            let energy = |c: &Cell| c.metric(Metric::EnergyMj);
             let ws = |c| sweep.weighted_speedup(c).unwrap_or(f64::NAN);
-            let hit = |c| metric(c, Metric::HcracHitRate);
+            let hit = |c: &Cell| c.metric(Metric::HcracHitRate);
             match col.value {
-                Value::Pct(m) | Value::Num(m, _) => metric(c, m),
+                Value::Pct(m) | Value::Num(m, _) => c.metric(m),
                 Value::Rel(Rel::Speedup) => sweep.speedup(c, base()),
                 Value::Rel(Rel::WeightedSpeedup) => ws(c) / ws(base()).max(1e-9) - 1.0,
                 Value::Rel(Rel::EnergySaving) => 1.0 - energy(c) / energy(base()).max(1e-12),

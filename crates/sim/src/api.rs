@@ -554,20 +554,14 @@ impl Experiment {
                                 .cell_config(subject, family, timing, mech, variant)
                                 .map_err(InvalidConfig)?;
                             cfg.validate().map_err(InvalidConfig)?;
-                            cells.push(CellPlan {
-                                subject: subject.name().to_string(),
-                                apps: subject.apps().to_vec(),
-                                family: family.clone(),
-                                // The *effective* specs — after family
-                                // bin adoption and the variant's
-                                // parameter patches — so the JSON names
-                                // the exact configuration run.
-                                timing: cfg.timing.clone(),
-                                mechanism: cfg.mechanism.clone(),
-                                variant: variant.label.clone(),
+                            cells.push(CellPlan::new(
+                                subject.name(),
+                                subject.apps(),
+                                family,
+                                &variant.label,
                                 cfg,
                                 params,
-                            });
+                            ));
                         }
                     }
                 }
@@ -585,14 +579,14 @@ impl Experiment {
 
     /// Executes the grid in parallel and returns the result table.
     ///
-    /// Every `(configuration, workloads, params)` triple is memoized in a
-    /// process-wide cache: cells that repeat across sweeps (shared
-    /// baselines, alone runs) are simulated exactly once, and identical
-    /// cells submitted concurrently (from other sweeps or through
-    /// [`run_cell`]) are *single-flighted* — followers wait for the one
-    /// execution instead of duplicating it. With
-    /// [`Experiment::cache_dir`], results additionally persist to disk
-    /// and survive the process.
+    /// Every cell runs through [`CellPlan::run`], so it is memoized in a
+    /// process-wide cache under its [`CellPlan::content_key`]: cells that
+    /// repeat across sweeps (shared baselines, alone runs) are simulated
+    /// exactly once, and identical cells submitted concurrently (from
+    /// other sweeps or the `cc-simd` daemon) are *single-flighted* —
+    /// followers wait for the one execution instead of duplicating it.
+    /// With [`Experiment::cache_dir`], results additionally persist to
+    /// disk and survive the process.
     ///
     /// A cell that panics (after the bounded retry) or surfaces a
     /// configuration error mid-run does **not** abort the sweep: its
@@ -608,73 +602,31 @@ impl Experiment {
     pub fn run(&self) -> Result<SweepResult, InvalidConfig> {
         let plan = self.plan()?;
         let threads = self.threads.unwrap_or_else(default_threads).max(1);
-        let mut jobs: Vec<Job> = plan.cells.iter().map(CellPlan::job).collect();
 
-        // Alone-IPC runs: one single-core job per distinct workload,
-        // under the sweep's (single) timing so the weighted-speedup
-        // denominators describe the same device as the cells.
-        let mut alone_names: Vec<String> = Vec::new();
         let alone_spec = self.alone.as_ref().map(registry::canonicalize);
-        if let Some(alone_mech) = &alone_spec {
-            if plan.timings.len() > 1 {
-                return Err(InvalidConfig(
-                    "alone-IPC denominators are ambiguous across a multi-preset \
-                     timing axis; run one sweep per timing"
-                        .into(),
-                ));
-            }
-            if plan.families.len() > 1 {
-                return Err(InvalidConfig(
-                    "alone-IPC denominators are ambiguous across a multi-device \
-                     family axis; run one sweep per family"
-                        .into(),
-                ));
-            }
-            for subject in &self.subjects {
-                for app in subject.apps() {
-                    if alone_names.iter().any(|n| n == app.name) {
-                        continue;
-                    }
-                    alone_names.push(app.name.to_string());
-                    let cfg = self
-                        .cell_config(
-                            &Subject::Single(app.clone()),
-                            &plan.families[0],
-                            &plan.timings[0],
-                            alone_mech,
-                            &Variant::paper(),
-                        )
-                        .map_err(InvalidConfig)?;
-                    jobs.push(Job {
-                        cfg,
-                        apps: vec![app.clone()],
-                        params: plan.params,
-                    });
-                }
-            }
-        }
+        let alone_runs = match &alone_spec {
+            Some(mech) => self.alone_runs(&plan, mech)?,
+            None => Vec::new(),
+        };
 
         let disk = self.cache_dir.as_ref().map(|d| DiskCache::shared(d));
-        let results = run_memoized(jobs, threads, disk.as_deref());
-        let mut it = results.into_iter();
+        let runs = plan.cells.iter().chain(&alone_runs).collect();
+        let mut results = run_memoized(runs, threads, disk.as_deref());
+        let alone_results = results.split_off(plan.cells.len());
         let cells = plan
             .cells
             .into_iter()
-            .map(|p| {
-                let outcome = it
-                    .next()
-                    .expect("one result per cell")
-                    .map(|r| r.as_ref().clone());
-                p.into_cell(outcome)
-            })
+            .zip(results)
+            .map(|(p, outcome)| p.into_cell(outcome.map(|r| r.as_ref().clone())))
             .collect();
         let mut alone: Vec<(String, f64)> = Vec::new();
-        for name in alone_names {
-            match it.next().expect("one result per alone run") {
-                Ok(r) => alone.push((name, r.ipc(0))),
+        for (run, outcome) in alone_runs.into_iter().zip(alone_results) {
+            match outcome {
+                Ok(r) => alone.push((run.subject, r.ipc(0))),
                 Err(e) => {
                     return Err(InvalidConfig(format!(
-                        "alone-IPC run for {name:?} failed: {e}"
+                        "alone-IPC run for {:?} failed: {e}",
+                        run.subject
                     )))
                 }
             }
@@ -690,6 +642,51 @@ impl Experiment {
             alone,
             alone_mechanism: alone_spec,
         })
+    }
+
+    /// Alone-IPC runs: one single-core `mechanism` cell per distinct
+    /// workload, under the sweep's (single) family and timing so the
+    /// weighted-speedup denominators describe the same device as the
+    /// cells.
+    fn alone_runs(
+        &self,
+        plan: &SweepPlan,
+        mechanism: &MechanismSpec,
+    ) -> Result<Vec<CellPlan>, InvalidConfig> {
+        if plan.timings.len() > 1 {
+            return Err(InvalidConfig(
+                "alone-IPC denominators are ambiguous across a multi-preset \
+                 timing axis; run one sweep per timing"
+                    .into(),
+            ));
+        }
+        if plan.families.len() > 1 {
+            return Err(InvalidConfig(
+                "alone-IPC denominators are ambiguous across a multi-device \
+                 family axis; run one sweep per family"
+                    .into(),
+            ));
+        }
+        let (family, timing, paper) = (&plan.families[0], &plan.timings[0], Variant::paper());
+        let mut runs: Vec<CellPlan> = Vec::new();
+        for app in self.subjects.iter().flat_map(Subject::apps) {
+            if runs.iter().any(|a| a.subject == app.name) {
+                continue;
+            }
+            let single = Subject::Single(app.clone());
+            let cfg = self
+                .cell_config(&single, family, timing, mechanism, &paper)
+                .map_err(InvalidConfig)?;
+            runs.push(CellPlan::new(
+                app.name,
+                single.apps(),
+                family,
+                &paper.label,
+                cfg,
+                plan.params,
+            ));
+        }
+        Ok(runs)
     }
 }
 
@@ -722,6 +719,17 @@ pub struct SweepPlan {
 /// result. A plan is self-contained — [`CellPlan::run`] executes it
 /// through the shared memoizer/single-flight/disk ladder without the
 /// originating [`Experiment`].
+///
+/// The fields are public for reading. The cell's content key is derived
+/// from `cfg`, `apps` and `params` at first use and then fixed (see
+/// [`CellPlan::content_key`]), so a change to them after that must not
+/// change the simulation; `params.checkpoint_interval` is such a field,
+/// because [`ExpParams`]' `Debug` form leaves it out of the identity.
+/// [`CellPlan::run`] checks this before it simulates: a plan whose
+/// identity no longer matches its key fails with a
+/// [`CellErrorKind::Config`] error instead of storing one simulation's
+/// result under another cell's key. A memoized or disk hit is not
+/// checked, so such a plan may also return the original cell's result.
 #[derive(Debug, Clone)]
 pub struct CellPlan {
     /// Subject name (workload or mix).
@@ -741,29 +749,217 @@ pub struct CellPlan {
     pub cfg: SystemConfig,
     /// Run-length parameters.
     pub params: ExpParams,
+    /// The content key, filled by the first [`CellPlan::content_key`] or
+    /// [`CellPlan::run`] call and carried by clones.
+    key: OnceLock<u128>,
 }
 
 impl CellPlan {
-    fn job(&self) -> Job {
-        Job {
-            cfg: self.cfg.clone(),
-            apps: self.apps.clone(),
-            params: self.params,
+    /// A plan labelled with the *effective* specs of `cfg` — after family
+    /// bin adoption and the variant's parameter patches — so the JSON
+    /// names the exact configuration run.
+    fn new(
+        subject: &str,
+        apps: &[WorkloadSpec],
+        family: &FamilySpec,
+        variant: &str,
+        cfg: SystemConfig,
+        params: ExpParams,
+    ) -> Self {
+        CellPlan {
+            subject: subject.to_string(),
+            apps: apps.to_vec(),
+            family: family.clone(),
+            timing: cfg.timing.clone(),
+            mechanism: cfg.mechanism.clone(),
+            variant: variant.to_string(),
+            cfg,
+            params,
+            key: OnceLock::new(),
         }
     }
 
-    /// The content-addressed identity of this cell — the same 128-bit
-    /// key that names its disk run-cache entry. Two plans with equal
-    /// keys are the same simulation (and produce bit-identical results),
-    /// which is what queue-level dedup in the sweep daemon keys on.
+    /// The content-addressed identity of this cell: the 128-bit
+    /// [`crate::cache::content_key`] of the `Debug` form of its
+    /// `(cfg, apps, params)`. The run is a pure function of exactly these
+    /// inputs, so two plans with equal keys are the same simulation and
+    /// produce bit-identical results. The same key names the cell's disk
+    /// run-cache entry and checkpoint, keys the process-wide memoizer
+    /// and the in-flight table, and dedups the sweep daemon's queue; all
+    /// of them trust the 128-bit FNV hash not to collide.
+    ///
+    /// A configuration carries only the knobs its mechanism reads (the
+    /// spec's own parameters), so cells that share a spec — e.g. every
+    /// Baseline cell of a capacity sweep, which [`Variant::entries`]
+    /// leaves unpatched — share a key and simulate once.
+    ///
+    /// Derived at the first call (here or in [`CellPlan::run`]) and then
+    /// fixed for this plan and its clones.
     pub fn content_key(&self) -> u128 {
-        crate::cache::content_key(&self.job().key())
+        *self
+            .key
+            .get_or_init(|| crate::cache::content_key(&self.identity()))
     }
 
-    /// Executes this cell through [`run_cell`] (memoizer → single-flight
-    /// → disk cache → simulate under `catch_unwind` → persist).
+    /// The `Debug` form of `(cfg, apps, params)` that the key hashes.
+    fn identity(&self) -> String {
+        format!("{:?}\u{1}{:?}\u{1}{:?}", self.cfg, self.apps, self.params)
+    }
+
+    /// Executes this cell — the one single-cell entry point, shared by
+    /// [`Experiment::run`] and the `cc-simd` daemon's workers. It climbs
+    /// the ladder process-wide memoizer → single-flight dedup against
+    /// concurrent executions → disk cache (`disk`, when given) →
+    /// simulate under `catch_unwind` with bounded retry → persist.
+    ///
+    /// Memoizer, in-flight table and disk cache are keyed by
+    /// [`CellPlan::content_key`]: if the key is already executing on
+    /// another thread (a concurrent sweep or a daemon worker), this call
+    /// waits for that execution instead of starting a second one, so
+    /// identical cells submitted concurrently by different clients
+    /// execute exactly once. A memoized hit is two uncontended locks, one
+    /// lookup and an [`Arc`] clone, and does not allocate.
+    ///
+    /// # Errors
+    ///
+    /// Returns the cell's [`CellError`] if the simulation panicked on
+    /// every attempt or the configuration was rejected mid-run. Failures
+    /// are never cached; a later call re-attempts the cell.
     pub fn run(&self, disk: Option<&DiskCache>) -> Result<Arc<RunResult>, CellError> {
-        run_cell(&self.cfg, &self.apps, &self.params, disk)
+        let key = self.content_key();
+        let flight = {
+            let mut inflight = inflight().lock().expect("inflight map poisoned");
+            // The memoizer check lives under the inflight lock: a key is
+            // either memoized, in flight, or ours to lead — never silently
+            // absent from all three.
+            if let Some(r) = run_cache().lock().expect("run cache poisoned").get(&key) {
+                return Ok(r.clone());
+            }
+            if let Some(f) = inflight.get(&key) {
+                let f = f.clone();
+                drop(inflight);
+                let mut slot = f.result.lock().expect("flight slot poisoned");
+                while slot.is_none() {
+                    slot = f.done.wait(slot).expect("flight slot poisoned");
+                }
+                return slot.clone().expect("loop exits on Some");
+            }
+            let f = Arc::new(Flight::default());
+            inflight.insert(key, f.clone());
+            f
+        };
+        let outcome = self.execute(key, disk);
+        // Only successes are memoized: a failed cell is re-attempted by the
+        // next sweep rather than replayed from the cache. Memoize *before*
+        // retiring the flight so no arrival can miss both.
+        if let Ok(r) = &outcome {
+            run_cache()
+                .lock()
+                .expect("run cache poisoned")
+                .insert(key, r.clone());
+        }
+        inflight()
+            .lock()
+            .expect("inflight map poisoned")
+            .remove(&key);
+        let mut slot = flight.result.lock().expect("flight slot poisoned");
+        *slot = Some(outcome.clone());
+        drop(slot);
+        flight.done.notify_all();
+        outcome
+    }
+
+    /// One cell's execution ladder below the memoizer: disk load →
+    /// identity check → simulate under `catch_unwind` with bounded retry
+    /// → persist.
+    fn execute(&self, key: u128, disk: Option<&DiskCache>) -> Result<Arc<RunResult>, CellError> {
+        if let Some(d) = disk {
+            if let Some(payload) = d.load(key) {
+                match RunResult::decode(&payload) {
+                    // A disk hit is not an execution: `run_cache_executions`
+                    // deltas count simulations only, which is what the
+                    // resume goldens assert on.
+                    Some(r) => return Ok(Arc::new(r)),
+                    // The checksum held but the payload layout didn't:
+                    // treat it exactly like any other corrupt entry.
+                    None => d.quarantine_entry(key),
+                }
+            }
+        }
+        // The key was fixed at first use. Re-derive it before simulating
+        // (a few µs against a millisecond-scale run), so that a plan
+        // changed since then cannot publish its result under the old key.
+        // An error, not a panic: a panicking leader would leave its
+        // in-flight entry behind and hang every later requester.
+        if crate::cache::content_key(&self.identity()) != key {
+            return Err(CellError {
+                kind: CellErrorKind::Config,
+                message: format!(
+                    "plan for {} changed after its content key {key:032x} was fixed",
+                    self.subject
+                ),
+                attempts: 0,
+            });
+        }
+        // Periodic checkpointing engages when the cell asks for it and a
+        // healthy cache directory exists to hold the files; a degraded (or
+        // absent) cache leaves no durable home for checkpoints, so the cell
+        // runs without a store.
+        let ckpt = if self.params.checkpoint_interval > 0 {
+            disk.filter(|d| !d.is_degraded())
+                .map(|d| crate::ckpt::CheckpointStore::new(d.dir()))
+        } else {
+            None
+        };
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            CACHE_EXECUTIONS.fetch_add(1, Ordering::SeqCst);
+            // `AssertUnwindSafe`: the closure owns a clone of the
+            // configuration and a poisoned run's partial state is dropped
+            // wholesale, so no broken invariant can leak into the next
+            // attempt.
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                crate::ckpt::run_checkpointed(
+                    self.cfg.clone(),
+                    &self.apps,
+                    &self.params,
+                    ckpt.as_ref(),
+                    key,
+                )
+            }));
+            match run {
+                Ok(Ok(r)) => {
+                    // Persist the moment the cell completes (not at sweep
+                    // end): a sweep killed mid-grid leaves every finished
+                    // cell behind for the resuming run.
+                    if let Some(d) = disk {
+                        d.store(key, &r.encode());
+                    }
+                    // The cell is durable as a result now; its checkpoint
+                    // has served its purpose.
+                    if let Some(store) = &ckpt {
+                        store.remove(key);
+                    }
+                    return Ok(Arc::new(r));
+                }
+                Ok(Err(e)) => {
+                    return Err(CellError {
+                        kind: CellErrorKind::Config,
+                        message: e.0,
+                        attempts,
+                    })
+                }
+                Err(payload) if attempts >= MAX_ATTEMPTS => {
+                    return Err(CellError {
+                        kind: CellErrorKind::Panic,
+                        message: panic_message(payload.as_ref()),
+                        attempts,
+                    })
+                }
+                Err(_) => {} // retry
+            }
+        }
     }
 
     /// Wraps an execution outcome into the [`Cell`] this plan describes.
@@ -784,26 +980,9 @@ impl CellPlan {
 // Memoized execution
 // ---------------------------------------------------------------------------
 
-struct Job {
-    cfg: SystemConfig,
-    apps: Vec<WorkloadSpec>,
-    params: ExpParams,
-}
-
-impl Job {
-    /// Cache key: the run is a pure function of exactly these inputs.
-    ///
-    /// A configuration carries only the knobs its mechanism reads (the
-    /// spec's own parameters), so cells that share a spec — e.g. every
-    /// Baseline cell of a capacity sweep, which [`Variant::entries`]
-    /// leaves unpatched — hash to the same key and simulate once.
-    fn key(&self) -> String {
-        format!("{:?}\u{1}{:?}\u{1}{:?}", self.cfg, self.apps, self.params)
-    }
-}
-
-fn run_cache() -> &'static Mutex<fasthash::FastHashMap<String, Arc<RunResult>>> {
-    static CACHE: OnceLock<Mutex<fasthash::FastHashMap<String, Arc<RunResult>>>> = OnceLock::new();
+/// Completed runs of this process, by [`CellPlan::content_key`].
+fn run_cache() -> &'static Mutex<fasthash::FastHashMap<u128, Arc<RunResult>>> {
+    static CACHE: OnceLock<Mutex<fasthash::FastHashMap<u128, Arc<RunResult>>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(fasthash::FastHashMap::default()))
 }
 
@@ -894,35 +1073,31 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Executes `jobs` on `threads` workers, serving repeats from the
-/// process-wide cache (and `disk`, when given). Results are returned in
-/// job order; a failed job yields its [`CellError`] in place.
+/// Runs `plans` on `threads` workers through [`CellPlan::run`], serving
+/// repeats from the process-wide cache (and `disk`, when given). Results
+/// are returned in plan order; a failed cell yields its [`CellError`] in
+/// place.
 fn run_memoized(
-    jobs: Vec<Job>,
+    plans: Vec<&CellPlan>,
     threads: usize,
     disk: Option<&DiskCache>,
 ) -> Vec<Result<Arc<RunResult>, CellError>> {
-    let keys: Vec<String> = jobs.iter().map(Job::key).collect();
-    // First occurrence of each key wins; later duplicates share its
-    // result. Cache hits and cross-thread dedup are [`resolve_job`]'s
-    // job — this loop only collapses repeats *within* this sweep.
-    let mut unique: Vec<(String, Job)> = Vec::new();
-    for (job, key) in jobs.into_iter().zip(&keys) {
-        if unique.iter().any(|(k, _)| k == key) {
-            continue;
-        }
-        unique.push((key.clone(), job));
-    }
-    let computed: Vec<(String, Result<Arc<RunResult>, CellError>)> =
-        par_map(unique, threads, |(key, job)| {
-            let outcome = resolve_job(&key, &job, disk);
-            (key, outcome)
-        });
-    let local: fasthash::FastHashMap<String, Result<Arc<RunResult>, CellError>> =
-        computed.into_iter().collect();
-    keys.iter()
-        .map(|k| local.get(k).expect("every key resolved above").clone())
-        .collect()
+    // First occurrence of each key runs; later duplicates share its
+    // result. Cache hits and cross-thread dedup are `CellPlan::run`'s
+    // job — this only collapses repeats *within* this sweep.
+    let mut first: fasthash::FastHashMap<u128, usize> = fasthash::FastHashMap::default();
+    let mut unique: Vec<&CellPlan> = Vec::new();
+    let slots: Vec<usize> = plans
+        .into_iter()
+        .map(|p| {
+            *first.entry(p.content_key()).or_insert_with(|| {
+                unique.push(p);
+                unique.len() - 1
+            })
+        })
+        .collect();
+    let computed = par_map(unique, threads, |p| p.run(disk));
+    slots.into_iter().map(|i| computed[i].clone()).collect()
 }
 
 /// One in-flight execution that concurrent requesters of the same key
@@ -936,174 +1111,9 @@ struct Flight {
 /// Keys currently executing somewhere in this process. Lock order is
 /// always `inflight` → `run_cache`; the leader's publish path takes each
 /// lock on its own, so no cycle exists.
-fn inflight() -> &'static Mutex<fasthash::FastHashMap<String, Arc<Flight>>> {
-    static INFLIGHT: OnceLock<Mutex<fasthash::FastHashMap<String, Arc<Flight>>>> = OnceLock::new();
+fn inflight() -> &'static Mutex<fasthash::FastHashMap<u128, Arc<Flight>>> {
+    static INFLIGHT: OnceLock<Mutex<fasthash::FastHashMap<u128, Arc<Flight>>>> = OnceLock::new();
     INFLIGHT.get_or_init(|| Mutex::new(fasthash::FastHashMap::default()))
-}
-
-/// Resolves one job through the memoizer with *single-flight* semantics:
-/// if the key is already executing on another thread (a concurrent sweep
-/// or a daemon worker), wait for that execution instead of starting a
-/// second one. Successes are memoized before the flight is retired, so a
-/// later arrival either joins the flight or hits the memoizer; failures
-/// are never memoized — the next arrival after the flight retires
-/// re-attempts the cell.
-fn resolve_job(
-    key: &str,
-    job: &Job,
-    disk: Option<&DiskCache>,
-) -> Result<Arc<RunResult>, CellError> {
-    let flight = {
-        let mut inflight = inflight().lock().expect("inflight map poisoned");
-        // The memoizer check lives under the inflight lock: a key is
-        // either memoized, in flight, or ours to lead — never silently
-        // absent from all three.
-        if let Some(r) = run_cache().lock().expect("run cache poisoned").get(key) {
-            return Ok(r.clone());
-        }
-        if let Some(f) = inflight.get(key) {
-            let f = f.clone();
-            drop(inflight);
-            let mut slot = f.result.lock().expect("flight slot poisoned");
-            while slot.is_none() {
-                slot = f.done.wait(slot).expect("flight slot poisoned");
-            }
-            return slot.clone().expect("loop exits on Some");
-        }
-        let f = Arc::new(Flight::default());
-        inflight.insert(key.to_string(), f.clone());
-        f
-    };
-    let outcome = execute_job(key, job, disk);
-    // Only successes are memoized: a failed cell is re-attempted by the
-    // next sweep rather than replayed from the cache. Memoize *before*
-    // retiring the flight so no arrival can miss both.
-    if let Ok(r) = &outcome {
-        run_cache()
-            .lock()
-            .expect("run cache poisoned")
-            .insert(key.to_string(), r.clone());
-    }
-    inflight()
-        .lock()
-        .expect("inflight map poisoned")
-        .remove(key);
-    let mut slot = flight.result.lock().expect("flight slot poisoned");
-    *slot = Some(outcome.clone());
-    drop(slot);
-    flight.done.notify_all();
-    outcome
-}
-
-/// Executes one cell — a fully-resolved `(configuration, workloads,
-/// params)` triple — through the same ladder [`Experiment::run`] uses:
-/// process-wide memoizer → single-flight dedup against concurrent
-/// executions → disk cache (`disk`, when given) → simulate under
-/// `catch_unwind` with bounded retry → persist.
-///
-/// This is the single-cell entry point the `cc-simd` sweep daemon
-/// schedules through; because daemon workers and in-process sweeps share
-/// the memoizer and the in-flight table, identical cells submitted
-/// concurrently by different clients execute exactly once.
-///
-/// # Errors
-///
-/// Returns the cell's [`CellError`] if the simulation panicked on every
-/// attempt or the configuration was rejected mid-run. Failures are never
-/// cached; a later call re-attempts the cell.
-pub fn run_cell(
-    cfg: &SystemConfig,
-    apps: &[WorkloadSpec],
-    params: &ExpParams,
-    disk: Option<&DiskCache>,
-) -> Result<Arc<RunResult>, CellError> {
-    let job = Job {
-        cfg: cfg.clone(),
-        apps: apps.to_vec(),
-        params: *params,
-    };
-    resolve_job(&job.key(), &job, disk)
-}
-
-/// One cell's execution ladder: disk load → simulate under
-/// `catch_unwind` with bounded retry → persist.
-fn execute_job(
-    key: &str,
-    job: &Job,
-    disk: Option<&DiskCache>,
-) -> Result<Arc<RunResult>, CellError> {
-    let content = crate::cache::content_key(key);
-    if let Some(d) = disk {
-        if let Some(payload) = d.load(content) {
-            match RunResult::decode(&payload) {
-                // A disk hit is not an execution: `run_cache_executions`
-                // deltas count simulations only, which is what the
-                // resume goldens assert on.
-                Some(r) => return Ok(Arc::new(r)),
-                // The checksum held but the payload layout didn't:
-                // treat it exactly like any other corrupt entry.
-                None => d.quarantine_entry(content),
-            }
-        }
-    }
-    // Periodic checkpointing engages when the job asks for it and a
-    // healthy cache directory exists to hold the files; a degraded (or
-    // absent) cache leaves no durable home for checkpoints, so the cell
-    // runs without a store.
-    let ckpt = if job.params.checkpoint_interval > 0 {
-        disk.filter(|d| !d.is_degraded())
-            .map(|d| crate::ckpt::CheckpointStore::new(d.dir()))
-    } else {
-        None
-    };
-    let mut attempts = 0;
-    loop {
-        attempts += 1;
-        CACHE_EXECUTIONS.fetch_add(1, Ordering::SeqCst);
-        // `AssertUnwindSafe`: the closure owns clones of the job inputs
-        // and a poisoned run's partial state is dropped wholesale, so no
-        // broken invariant can leak into the next attempt.
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            crate::ckpt::run_checkpointed(
-                job.cfg.clone(),
-                &job.apps,
-                &job.params,
-                ckpt.as_ref(),
-                content,
-            )
-        }));
-        match run {
-            Ok(Ok(r)) => {
-                // Persist the moment the cell completes (not at sweep
-                // end): a sweep killed mid-grid leaves every finished
-                // cell behind for the resuming run.
-                if let Some(d) = disk {
-                    d.store(content, &r.encode());
-                }
-                // The cell is durable as a result now; its checkpoint
-                // has served its purpose.
-                if let Some(store) = &ckpt {
-                    store.remove(content);
-                }
-                return Ok(Arc::new(r));
-            }
-            Ok(Err(e)) => {
-                return Err(CellError {
-                    kind: CellErrorKind::Config,
-                    message: e.0,
-                    attempts,
-                })
-            }
-            Err(payload) if attempts >= MAX_ATTEMPTS => {
-                return Err(CellError {
-                    kind: CellErrorKind::Panic,
-                    message: panic_message(payload.as_ref()),
-                    attempts,
-                })
-            }
-            Err(_) => {} // retry
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1148,9 +1158,10 @@ pub enum Metric {
     /// Simulated CPU cycles in the measured interval.
     CpuCycles,
     /// Cumulative RLTL fraction at tracker bucket `i`
-    /// (0.125/0.25/0.5/1/8/32 ms).
+    /// (0.125/0.25/0.5/1/8/32 ms); NaN for a run without activations.
     RltlFraction(usize),
-    /// Fraction of activations within 8 ms of the row's refresh.
+    /// Fraction of activations within 8 ms of the row's refresh; NaN for
+    /// a run without activations.
     RefreshFraction,
     /// Row activations the RLTL tracker observed.
     Activations,
@@ -1199,6 +1210,10 @@ impl Cell {
             Metric::HcracHitRate => r.hcrac_hit_rate().unwrap_or(f64::NAN),
             Metric::EnergyMj => r.energy.total_mj(),
             Metric::CpuCycles => r.cpu_cycles as f64,
+            // A fraction of zero activations is undefined, not 0 %.
+            Metric::RltlFraction(_) | Metric::RefreshFraction if r.rltl.activations == 0 => {
+                f64::NAN
+            }
             Metric::RltlFraction(i) => r.rltl.rltl_fraction.get(i).copied().unwrap_or(f64::NAN),
             Metric::RefreshFraction => r.rltl.refresh_8ms_fraction,
             Metric::Activations => r.rltl.activations as f64,
@@ -1751,5 +1766,130 @@ mod tests {
         assert_eq!(sweep.alone.len(), distinct.len());
         let ws = sweep.weighted_speedup(&sweep.cells[0]).unwrap();
         assert!(ws > 0.0 && ws <= 8.5, "weighted speedup {ws}");
+    }
+
+    #[test]
+    fn content_key_is_the_debug_identity_fixed_at_first_use() {
+        let mix = traces::eight_core_mixes().into_iter().next().unwrap();
+        let exp = |families: &[&str], timings: &[&str]| {
+            Experiment::new()
+                .workload(workload("tpch2").unwrap())
+                .workload(workload("mcf").unwrap())
+                .mix(mix.clone())
+                .families(families.iter().map(|f| f.parse().unwrap()))
+                .timings(timings.iter().map(|t| t.parse().unwrap()))
+                .mechanisms(&[MechanismSpec::baseline(), MechanismSpec::chargecache()])
+                .variants([Variant::entries(64), Variant::duration_ms(4.0)])
+                .engine(Engine::PerCycle)
+                .params(tiny())
+        };
+        let grid = exp(&["ddr3", "ddr4"], &["ddr3-1600", "ddr3-2133"])
+            .plan()
+            .unwrap();
+        assert_eq!(grid.cells.len(), 3 * 2 * 2 * 2 * 2);
+        // Alone runs need a single device.
+        let one_device = exp(&["ddr4"], &["ddr3-1600"]);
+        let alone_plan = one_device.plan().unwrap();
+        let alone = one_device
+            .alone_runs(&alone_plan, &MechanismSpec::baseline())
+            .unwrap();
+        assert!(alone.len() > 2, "{} alone runs", alone.len());
+
+        let mut keys = fasthash::FastHashMap::default();
+        for plan in grid.cells.iter().chain(&alone) {
+            assert!(plan.key.get().is_none(), "planning computed a key");
+            let identity = plan.identity();
+            assert_eq!(
+                identity,
+                format!("{:?}\u{1}{:?}\u{1}{:?}", plan.cfg, plan.apps, plan.params)
+            );
+            let key = plan.content_key();
+            assert_eq!(key, crate::cache::content_key(&identity));
+            assert_eq!(plan.clone().key.get(), Some(&key), "a clone drops the key");
+            // The checkpoint interval is not identity: an unkeyed copy
+            // that checkpoints derives the same key.
+            let mut copy = CellPlan {
+                key: OnceLock::new(),
+                ..plan.clone()
+            };
+            copy.params.checkpoint_interval = 1_000;
+            assert_eq!(copy.content_key(), key);
+            keys.insert(key, identity);
+        }
+        // Baseline ignores the variant's ChargeCache patches, so its two
+        // variants share one key, and the two workloads' alone runs are
+        // their ddr4/ddr3-1600 baseline cells; every other key is new.
+        assert_eq!(keys.len(), 3 * 2 * 2 * 3 + alone.len() - 2);
+    }
+
+    #[test]
+    fn a_plan_changed_after_its_key_is_fixed_fails_instead_of_publishing() {
+        // A run length no other test uses, so the original key is never
+        // memoized, in flight or on disk: the changed plan reaches the
+        // miss path.
+        let params = ExpParams {
+            insts_per_core: 2_017,
+            ..tiny()
+        };
+        let grid = Experiment::new()
+            .workload(workload("hmmer").unwrap())
+            .mechanism(MechanismSpec::baseline())
+            .params(params)
+            .plan()
+            .unwrap();
+        let plan = &grid.cells[0];
+        let key = plan.content_key();
+        let mut changed = plan.clone();
+        changed.cfg.mechanism = MechanismSpec::chargecache();
+        let dir = std::env::temp_dir().join(format!("cc-api-key-guard-{}", std::process::id()));
+        let disk = DiskCache::open(&dir);
+        assert!(!disk.is_degraded());
+        let err = changed.run(Some(&disk)).unwrap_err();
+        assert_eq!(err.kind, CellErrorKind::Config);
+        assert_eq!(err.attempts, 0);
+        assert!(
+            err.message.contains("changed after its content key"),
+            "{err}"
+        );
+        assert!(run_cache().lock().unwrap().get(&key).is_none());
+        assert!(disk.load(key).is_none(), "the changed plan was persisted");
+        // A changed checkpoint interval is not a changed identity.
+        let mut checkpointing = plan.clone();
+        checkpointing.params.checkpoint_interval = 1_000;
+        assert!(checkpointing.run(None).is_ok());
+        assert!(run_cache().lock().unwrap().get(&key).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rltl_fractions_of_a_run_without_activations_are_nan() {
+        let sweep = Experiment::new()
+            .workload(workload("hmmer").unwrap())
+            .mechanism(MechanismSpec::baseline())
+            .params(tiny())
+            .run()
+            .unwrap();
+        let mut cell = sweep.cells[0].clone();
+        assert!(cell.metric(Metric::Activations) > 0.0);
+        assert!(!cell.metric(Metric::RltlFraction(0)).is_nan());
+        assert!(!cell.metric(Metric::RefreshFraction).is_nan());
+        // What the RLTL tracker reports when it saw no activation.
+        let Ok(r) = &mut cell.outcome else {
+            panic!("tiny hmmer failed")
+        };
+        let intervals = r.rltl.intervals_ms.len();
+        r.rltl.rltl_fraction = vec![0.0; intervals];
+        r.rltl.refresh_8ms_fraction = 0.0;
+        r.rltl.activations = 0;
+        for i in 0..intervals {
+            assert!(
+                cell.metric(Metric::RltlFraction(i)).is_nan(),
+                "interval {i}"
+            );
+        }
+        assert!(cell.metric(Metric::RefreshFraction).is_nan());
+        assert_eq!(cell.metric(Metric::Activations), 0.0);
+        // The other metrics of the run stay defined.
+        assert!(cell.metric(Metric::Ipc) > 0.0);
     }
 }

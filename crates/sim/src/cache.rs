@@ -4,9 +4,10 @@
 //! every CLI invocation re-simulates shared baselines from scratch and an
 //! interrupted sweep loses all completed cells. This module persists each
 //! [`RunResult`](crate::RunResult) under a stable 128-bit content hash of
-//! its full job identity (workload specs, mechanism spec, timing spec,
-//! variant-configured system, seed, engine — everything in the in-memory
-//! memoizer key — plus the entry-format version), making sweeps *resumable*:
+//! its full cell identity (workload specs, mechanism spec, timing spec,
+//! variant-configured system, seed, engine, plus the entry-format
+//! version) — the same key the in-memory memoizer uses, derived once per
+//! plan by [`crate::CellPlan::content_key`] — making sweeps *resumable*:
 //! a re-run against the same cache directory loads completed cells and
 //! simulates only the remainder, with byte-identical final JSON.
 //!
@@ -82,9 +83,10 @@ const RUN: Envelope = Envelope {
     tmp_ext: "tmp",
 };
 
-/// Derives the stable content key for a job identity string (the same
-/// exhaustive `Debug`-format key the in-memory memoizer uses; see
-/// `Job::key` in `crate::api`). The entry version is folded in so a
+/// Derives the stable content key for a cell identity string: the
+/// exhaustive `Debug` form of its `(cfg, apps, params)` that
+/// [`crate::CellPlan::content_key`] formats once per plan. That one key
+/// also keys the in-process memoizer. The entry version is folded in so a
 /// format bump changes every filename at once.
 pub fn content_key(job_key: &str) -> u128 {
     let mut bytes = Vec::with_capacity(job_key.len() + 16);

@@ -4,7 +4,7 @@
 //!
 //! # Resume ladder
 //!
-//! A cell executed through [`crate::run_cell`] now climbs four rungs:
+//! A cell executed through [`crate::CellPlan::run`] now climbs four rungs:
 //!
 //! 1. process-wide memoizer (completed in this process),
 //! 2. disk run cache (completed by any process; [`crate::cache`]),

@@ -34,8 +34,8 @@ pub struct ExpParams {
 }
 
 /// Hand-rolled to print exactly what the pre-`checkpoint_interval`
-/// derive printed: the cache key (`Job::key` in `crate::api`) and the
-/// disk-cache content hash are `Debug`-derived, and the interval must
+/// derive printed: the content key ([`crate::CellPlan::content_key`])
+/// that names disk-cache entries is `Debug`-derived, and the interval must
 /// not split otherwise-identical cells into distinct cache entries.
 impl std::fmt::Debug for ExpParams {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

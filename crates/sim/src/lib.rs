@@ -42,8 +42,8 @@ pub mod metrics;
 pub mod system;
 
 pub use api::{
-    assemble_sweep_json, run_cell, Cell, CellError, CellErrorKind, CellPlan, Experiment, Metric,
-    Probe, SweepPlan, SweepResult, Variant,
+    assemble_sweep_json, Cell, CellError, CellErrorKind, CellPlan, Experiment, Metric, Probe,
+    SweepPlan, SweepResult, Variant,
 };
 pub use cache::{CacheStats, DiskCache, GcStats};
 pub use ckpt::{checkpoint_stats, CheckpointStats, CheckpointStore};

@@ -12,7 +12,7 @@
 //!   the existing subject × mechanism × timing × variant vocabulary,
 //!   convertible to a [`sim::Experiment`].
 //! - [`server`] — the daemon: bounded job queue with per-client
-//!   backpressure, worker pool over [`sim::run_cell`] (which
+//!   backpressure, worker pool over [`sim::CellPlan::run`] (which
 //!   single-flights identical cells across clients), per-cell result
 //!   streaming in the `chargecache-sweep/v4` cell schema, graceful
 //!   drain on shutdown, and on-request [`sim::DiskCache::gc`].

@@ -11,12 +11,13 @@
 //! Cells are content-addressed (the [`CellPlan::content_key`] that also
 //! names disk-cache entries), and the queue holds each key **once**: a
 //! second submission of an already queued or running cell subscribes to
-//! the existing execution instead of enqueueing a duplicate. Below that,
-//! workers execute through [`sim::run_cell`], so even cells racing from
-//! separate sweeps single-flight on the same key. Each subscriber keeps
-//! its own [`CellPlan`] — two submissions may label the same execution
-//! differently (a Baseline cell shared across a capacity axis), and each
-//! client gets its own labels back.
+//! the existing execution instead of enqueueing a duplicate. Each key is
+//! derived once per submitted cell and travels with the plan's clones.
+//! Below that, workers execute through [`CellPlan::run`], so even cells
+//! racing from separate sweeps single-flight on the same key. Each
+//! subscriber keeps its own [`CellPlan`] — two submissions may label the
+//! same execution differently (a Baseline cell shared across a capacity
+//! axis), and each client gets its own labels back.
 //!
 //! Output: every connection owns an outbound frame queue drained by
 //! one writer thread, the only thread that writes to its socket. Every
@@ -469,6 +470,9 @@ fn submit(
             return;
         }
     };
+    // Each key is derived once, outside the state lock; the plan clones
+    // queued below carry it to the worker's `CellPlan::run`.
+    let keys: Vec<u128> = plan.cells.iter().map(CellPlan::content_key).collect();
     let mut st = shared.state.lock().expect("daemon state poisoned");
     if st.shutting_down {
         out.send(&error_json(ErrorCode::ShuttingDown, "daemon is draining"));
@@ -490,8 +494,7 @@ fn submit(
         return;
     }
     let mut new_keys: Vec<u128> = Vec::new();
-    for c in &plan.cells {
-        let k = c.content_key();
+    for &k in &keys {
         if !st.cells.contains_key(&k) && !new_keys.contains(&k) {
             new_keys.push(k);
         }
@@ -517,8 +520,7 @@ fn submit(
             failed: 0,
         },
     );
-    for (i, c) in plan.cells.iter().enumerate() {
-        let k = c.content_key();
+    for (i, (c, k)) in plan.cells.iter().zip(keys).enumerate() {
         let sub = Subscriber {
             job: job_id.clone(),
             index: i,

@@ -2,7 +2,7 @@
 //! memoization of shared baseline/alone runs, probe non-perturbation,
 //! and machine-readable JSON output (in-process and through `cc-sim`).
 
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use chargecache::MechanismSpec;
 use sim::api::{self, Experiment, Sample, SampleSeries, Variant};
@@ -10,7 +10,11 @@ use sim::exp::{run_configured, ExpParams};
 use sim::{Engine, SystemConfig};
 use traces::workload;
 
-/// Serializes the tests that assert on the process-wide run cache.
+/// Serializes the tests that run cells through the process-wide run
+/// cache: any such run moves `run_cache_executions` or memoizes a cell,
+/// so it must stay out of another test's exact-delta window. Taken with
+/// `unwrap_or_else(PoisonError::into_inner)` so one failing test does not
+/// fail the others through a poisoned lock.
 static CACHE_LOCK: Mutex<()> = Mutex::new(());
 
 fn tiny() -> ExpParams {
@@ -32,7 +36,7 @@ fn golden_experiment() -> Experiment {
 
 #[test]
 fn golden_sweep_identical_across_thread_counts() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     api::clear_run_cache();
     let serial = golden_experiment().threads(1).run().unwrap();
     api::clear_run_cache();
@@ -48,7 +52,7 @@ fn golden_sweep_identical_across_thread_counts() {
 
 #[test]
 fn baseline_and_alone_runs_are_memoized_once() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     api::clear_run_cache();
     let exp = Experiment::new()
         .workload(workload("tpch2").unwrap())
@@ -76,7 +80,7 @@ fn baseline_and_alone_runs_are_memoized_once() {
 
 #[test]
 fn mechanism_irrelevant_cc_variants_share_baseline_runs() {
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     api::clear_run_cache();
     let before = api::run_cache_executions();
     let sweep = golden_experiment().threads(1).run().unwrap();
@@ -95,6 +99,7 @@ fn alias_specs_canonicalize_in_sweeps() {
     // `cc` is the v1 id and a registry alias: the sweep must store the
     // canonical name (lookups by "chargecache" hit) and catch an aliased
     // duplicate on the axis.
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let sweep = Experiment::new()
         .workload(workload("tpch2").unwrap())
         .mechanism("cc".parse().unwrap())
@@ -204,7 +209,7 @@ fn probe_sample_sequence_is_pinned() {
 fn alone_ipc_denominators_follow_the_device_axis() {
     // A non-default family and a non-default timing: each alone run must
     // describe the same device as the baseline cell it shares a key with.
-    let _guard = CACHE_LOCK.lock().unwrap();
+    let _guard = CACHE_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
     let mcf = workload("mcf").unwrap();
     for (family, timing) in [("lpddr4x", None), ("ddr3", Some("ddr3-2133"))] {
         let mut exp = Experiment::new()

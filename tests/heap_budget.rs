@@ -1,16 +1,21 @@
 //! Heap budget of one bench-scale cell: a simulated cell's memory follows
-//! the state the run touches, and its request path does not allocate.
+//! the state the run touches, its request path does not allocate, and a
+//! memoized hit does not allocate at all.
 //!
 //! This file is its own test binary so its counting `#[global_allocator]`
-//! sees only this one test. Run it in release mode (as CI does):
+//! sees only these tests, which take `SERIAL` because they read the
+//! process-wide counters. Run it in release mode (as CI does):
 //! `cargo test --release --test heap_budget`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use chargecache::MechanismSpec;
+use sim::api::Experiment;
 use sim::{run_configured, ExpParams, SystemConfig};
-use traces::workload;
+use traces::{eight_core_mixes, workload};
 
 /// The system allocator, counting allocations and tracking live bytes.
 struct Counting;
@@ -19,6 +24,20 @@ static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread.
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Held by each test while it counts.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn counted() {
+    ALLOCS.fetch_add(1, Relaxed);
+    // `try_with`: a thread being torn down has no slot left to count in.
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 fn grew(bytes: usize) {
     let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
     PEAK.fetch_max(live, Relaxed);
@@ -26,13 +45,13 @@ fn grew(bytes: usize) {
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        counted();
         grew(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        counted();
         grew(layout.size());
         System.alloc_zeroed(layout)
     }
@@ -43,7 +62,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        counted();
         LIVE.fetch_sub(layout.size(), Relaxed);
         grew(new_size);
         System.realloc(ptr, layout, new_size)
@@ -83,6 +102,7 @@ const PEAK_BUDGET: usize = 33 * 1024 * 1024 / 10;
 
 #[test]
 fn bench_scale_cell_heap_follows_live_state() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
     let (allocs, peak) = cell_heap(120_000);
     let (allocs_long, _) = cell_heap(240_000);
     println!("mcf/chargecache: {allocs} allocations ({allocs_long} at 2x length), peak {peak} B");
@@ -92,4 +112,40 @@ fn bench_scale_cell_heap_follows_live_state() {
         "allocations grow with run length: {allocs} -> {allocs_long}"
     );
     assert!(peak <= PEAK_BUDGET, "peak live heap {peak} B");
+}
+
+/// A memoized hit is a table lookup under the plan's cached content key:
+/// after one cold run, re-running the plan allocates nothing, for a
+/// single-core cell and for an eight-core mix alike.
+#[test]
+fn memoized_hits_do_not_allocate() {
+    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let p = ExpParams {
+        insts_per_core: 2_000,
+        warmup_insts: 500,
+        ..ExpParams::tiny()
+    };
+    let single = Experiment::new().workload(workload("tpch2").expect("paper workload"));
+    let mix = Experiment::new().mix(eight_core_mixes().remove(0));
+    for exp in [single, mix] {
+        let plan = exp
+            .mechanism(MechanismSpec::chargecache())
+            .params(p)
+            .plan()
+            .expect("paper configuration")
+            .cells
+            .remove(0);
+        let cold = plan.run(None).expect("cold run");
+        let before = THREAD_ALLOCS.with(Cell::get);
+        for _ in 0..100 {
+            let hit = plan.run(None).expect("memoized hit");
+            assert!(Arc::ptr_eq(&hit, &cold), "a hit re-simulated the cell");
+        }
+        let allocs = THREAD_ALLOCS.with(Cell::get) - before;
+        assert_eq!(
+            allocs, 0,
+            "{}: 100 hits made {allocs} allocations",
+            plan.subject
+        );
+    }
 }
