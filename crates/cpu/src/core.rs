@@ -11,7 +11,7 @@
 
 use std::collections::VecDeque;
 
-use fasthash::codec::{put_u8, take_tag, CodecResult, State};
+use fasthash::codec::{put_u8, put_usize, take_len, take_tag, CodecResult, State};
 use fasthash::impl_state;
 
 use crate::trace::{MemOp, TraceSource};
@@ -123,11 +123,12 @@ impl StepOutcome {
     }
 }
 
-/// Window slot: a run of ready instructions or one in-flight load.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Ready(u32),
-    Load { id: LoadId, ready: bool },
+/// One in-flight load of the window, with the run of ready instructions
+/// dispatched just before it that have not retired yet.
+#[derive(Debug, Clone, Copy, Default)]
+struct LoadSlot {
+    before: u32,
+    ready: bool,
 }
 
 /// The trace-driven core.
@@ -135,7 +136,19 @@ pub struct Core {
     id: usize,
     cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
-    window: VecDeque<Slot>,
+    /// The window, front to back, is each in-flight load preceded by its
+    /// ready run ([`LoadSlot::before`]), then `tail`. Ids are assigned at
+    /// dispatch and loads retire in order, so the in-flight loads are
+    /// exactly the ids `oldest_load..next_load_id`, and load `id` lives
+    /// in slot `id & (len - 1)`. The length is the window capacity
+    /// rounded up to a power of two, so the at most `window` loads in
+    /// flight never share a slot.
+    loads: Vec<LoadSlot>,
+    /// Id of the oldest load in the window (`next_load_id` when none).
+    oldest_load: LoadId,
+    /// Ready instructions dispatched after the youngest in-flight load
+    /// (the whole window when no load is in flight).
+    tail: u32,
     occupancy: usize,
     /// Non-memory instructions of the current entry not yet dispatched.
     nonmem_credit: u32,
@@ -163,7 +176,9 @@ impl Core {
             id,
             cfg,
             trace,
-            window: VecDeque::new(),
+            loads: vec![LoadSlot::default(); cfg.window.next_power_of_two()],
+            oldest_load: 0,
+            tail: 0,
             occupancy: 0,
             nonmem_credit: 0,
             pending_op: None,
@@ -194,7 +209,8 @@ impl Core {
     /// True when the trace is exhausted and the pipeline has drained.
     pub fn finished(&self) -> bool {
         self.trace_done
-            && self.window.is_empty()
+            && self.oldest_load == self.next_load_id
+            && self.tail == 0
             && self.pending_op.is_none()
             && self.nonmem_credit == 0
     }
@@ -208,18 +224,25 @@ impl Core {
     ///
     /// # Panics
     ///
-    /// Panics if `load_id` does not match an in-flight load — that is a
-    /// harness wiring bug.
+    /// Panics if `load_id` does not match an in-flight load that is not
+    /// yet ready — that is a harness wiring bug.
     pub fn complete_load(&mut self, load_id: LoadId) {
-        let slot = self
-            .window
-            .iter_mut()
-            .find(|s| matches!(s, Slot::Load { id, ready: false } if *id == load_id))
-            .expect("completion for unknown load");
-        if let Slot::Load { ready, .. } = slot {
-            *ready = true;
-        }
+        let in_window = (self.oldest_load..self.next_load_id).contains(&load_id);
+        let load = self.load_mut(load_id);
+        assert!(in_window && !load.ready, "completion for unknown load");
+        load.ready = true;
         self.outstanding -= 1;
+    }
+
+    /// The slot of in-flight load `id`.
+    fn load_at(&self, id: LoadId) -> LoadSlot {
+        self.loads[id as usize & (self.loads.len() - 1)]
+    }
+
+    /// The mutable slot of in-flight load `id`.
+    fn load_mut(&mut self, id: LoadId) -> &mut LoadSlot {
+        let mask = self.loads.len() - 1;
+        &mut self.loads[id as usize & mask]
     }
 
     /// Simulates one CPU cycle. `access` is invoked for each memory
@@ -238,12 +261,9 @@ impl Core {
                 break;
             }
             self.hit_queue.pop_front();
-            if let Some(Slot::Load { ready, .. }) = self
-                .window
-                .iter_mut()
-                .find(|s| matches!(s, Slot::Load { id: i, .. } if *i == id))
-            {
-                *ready = true;
+            // A load a stray completion already retired has no flag left.
+            if id >= self.oldest_load {
+                self.load_mut(id).ready = true;
             }
         }
 
@@ -285,26 +305,26 @@ impl Core {
     /// returns the number retired.
     fn retire(&mut self) -> u32 {
         let mut budget = self.cfg.issue_width;
+        let mask = self.loads.len() - 1;
         while budget > 0 {
-            match self.window.front_mut() {
-                Some(Slot::Ready(n)) => {
-                    let take = (*n).min(budget);
-                    *n -= take;
-                    budget -= take;
-                    self.stats.retired += u64::from(take);
-                    self.occupancy -= take as usize;
-                    if *n == 0 {
-                        self.window.pop_front();
-                    }
-                }
-                Some(Slot::Load { ready: true, .. }) => {
-                    self.window.pop_front();
-                    budget -= 1;
-                    self.stats.retired += 1;
-                    self.occupancy -= 1;
-                }
-                _ => break,
+            let (run, load_ready) = if self.oldest_load == self.next_load_id {
+                (&mut self.tail, false)
+            } else {
+                let head = &mut self.loads[self.oldest_load as usize & mask];
+                (&mut head.before, head.ready)
+            };
+            let take = (*run).min(budget);
+            *run -= take;
+            budget -= take;
+            self.stats.retired += u64::from(take);
+            self.occupancy -= take as usize;
+            if *run > 0 || !load_ready || budget == 0 {
+                break;
             }
+            self.oldest_load += 1;
+            budget -= 1;
+            self.stats.retired += 1;
+            self.occupancy -= 1;
         }
         self.cfg.issue_width - budget
     }
@@ -364,32 +384,24 @@ impl Core {
                         load_id,
                     }) {
                         AccessReply::HitAt(at) => {
-                            self.next_load_id += 1;
-                            self.window.push_back(Slot::Load {
-                                id: load_id,
-                                ready: false,
-                            });
-                            self.occupancy += 1;
+                            self.push_load();
                             // Hits almost always arrive in order (the LLC
-                            // latency is constant); keep the queue sorted
-                            // for out-of-order replies too, inserting
-                            // after ties to preserve FIFO promotion.
+                            // latency is constant), so they append; an
+                            // out-of-order reply is inserted after its
+                            // ties to keep promotion FIFO.
                             let at = at.max(now + 1);
-                            let pos = self.hit_queue.partition_point(|&(t, _)| t <= at);
-                            self.hit_queue.insert(pos, (at, load_id));
-                            self.stats.loads += 1;
+                            if self.hit_queue.back().is_none_or(|&(t, _)| t <= at) {
+                                self.hit_queue.push_back((at, load_id));
+                            } else {
+                                let pos = self.hit_queue.partition_point(|&(t, _)| t <= at);
+                                self.hit_queue.insert(pos, (at, load_id));
+                            }
                             self.pending_op = None;
                             dispatched += 1;
                         }
                         AccessReply::Pending => {
-                            self.next_load_id += 1;
-                            self.window.push_back(Slot::Load {
-                                id: load_id,
-                                ready: false,
-                            });
-                            self.occupancy += 1;
+                            self.push_load();
                             self.outstanding += 1;
-                            self.stats.loads += 1;
                             self.pending_op = None;
                             dispatched += 1;
                         }
@@ -428,43 +440,27 @@ impl Core {
         (dispatched, blocked_on_retry)
     }
 
+    /// Enters load `next_load_id` into the window, not yet ready, behind
+    /// the ready run dispatched since the previous load.
+    fn push_load(&mut self) {
+        let before = std::mem::take(&mut self.tail);
+        *self.load_mut(self.next_load_id) = LoadSlot {
+            before,
+            ready: false,
+        };
+        self.next_load_id += 1;
+        self.occupancy += 1;
+        self.stats.loads += 1;
+    }
+
     fn push_ready(&mut self, n: u32) {
         self.occupancy += n as usize;
-        if let Some(Slot::Ready(m)) = self.window.back_mut() {
-            *m += n;
-        } else {
-            self.window.push_back(Slot::Ready(n));
-        }
+        self.tail += n;
     }
 }
 
-impl Default for Slot {
-    fn default() -> Self {
-        Slot::Ready(0)
-    }
-}
-
-impl State for Slot {
-    const MIN_BYTES: usize = 5;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        match *self {
-            Slot::Ready(n) => (0u8, n).put(out),
-            Slot::Load { id, ready } => (1u8, (id, ready)).put(out),
-        }
-    }
-
-    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
-        *self = match take_tag(input, 1, "window slot")? {
-            0 => Slot::Ready(u32::take(input)?),
-            _ => {
-                let (id, ready) = State::take(input)?;
-                Slot::Load { id, ready }
-            }
-        };
-        Ok(())
-    }
-}
+/// Minimum encoded size of a window slot: a tag and a `u32` run.
+const MIN_SLOT_BYTES: usize = 5;
 
 impl_state!(CoreStats {
     retired,
@@ -479,8 +475,28 @@ impl_state!(CoreStats {
 /// loading into a freshly built core replays that many reads on its
 /// deterministic trace source.
 impl State for Core {
+    /// The window is a prefixed sequence of slots, front to back: a
+    /// non-empty ready run as `(0u8, n)`, a load as `(1u8, (id, ready))`.
     fn put(&self, out: &mut Vec<u8>) {
-        self.window.put(out);
+        let in_flight = self.oldest_load..self.next_load_id;
+        let runs = in_flight
+            .clone()
+            .filter(|&id| self.load_at(id).before > 0)
+            .count();
+        put_usize(
+            out,
+            in_flight.clone().count() + runs + usize::from(self.tail > 0),
+        );
+        for id in in_flight {
+            let load = self.load_at(id);
+            if load.before > 0 {
+                (0u8, load.before).put(out);
+            }
+            (1u8, (id, load.ready)).put(out);
+        }
+        if self.tail > 0 {
+            (0u8, self.tail).put(out);
+        }
         self.occupancy.put(out);
         self.nonmem_credit.put(out);
         match self.pending_op {
@@ -497,7 +513,31 @@ impl State for Core {
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
-        self.window.load(input)?;
+        // A ready run waits in `run` for the load it precedes; the last
+        // one is the tail.
+        let mut run = 0;
+        let mut loads: Option<(LoadId, LoadId)> = None; // first, one past last
+        for _ in 0..take_len(input, MIN_SLOT_BYTES, "window slots")? {
+            if take_tag(input, 1, "window slot")? == 0 {
+                if run > 0 {
+                    return Err("window holds adjacent ready runs".to_string());
+                }
+                run = u32::take(input)?;
+                if run == 0 {
+                    return Err("window holds an empty ready run".to_string());
+                }
+                continue;
+            }
+            let (id, ready): (LoadId, bool) = State::take(input)?;
+            let (first, end) = loads.get_or_insert((id, id));
+            if id != *end || *end - *first >= self.loads.len() as u64 {
+                return Err(format!("window load {id} out of sequence"));
+            }
+            *end += 1;
+            let before = std::mem::take(&mut run);
+            *self.load_mut(id) = LoadSlot { before, ready };
+        }
+        self.tail = run;
         self.occupancy.load(input)?;
         self.nonmem_credit.load(input)?;
         self.pending_op = match take_tag(input, 2, "pending op")? {
@@ -508,6 +548,16 @@ impl State for Core {
         self.hit_queue.load(input)?;
         self.outstanding.load(input)?;
         self.next_load_id.load(input)?;
+        self.oldest_load = match loads {
+            None => self.next_load_id,
+            Some((first, end)) if end == self.next_load_id => first,
+            Some((_, end)) => {
+                return Err(format!(
+                    "window loads end at {end}, next load is {}",
+                    self.next_load_id
+                ))
+            }
+        };
         self.trace_done.load(input)?;
         self.trace_reads.load(input)?;
         self.stats.load(input)?;
@@ -636,6 +686,105 @@ mod tests {
         // Nothing can retire past the blocked load at the head.
         assert_eq!(core.retired(), 0);
         assert!(core.stats().stall_cycles > 100);
+    }
+
+    /// A core with loads 0..4 in flight (misses) behind nothing else.
+    fn four_misses() -> Core {
+        let mut core = Core::new(
+            0,
+            CoreConfig::paper(),
+            Box::new(VecTrace::once(loads(4, 64, 0))),
+        );
+        for now in 0..2 {
+            core.step(now, &mut |_| AccessReply::Pending);
+        }
+        assert_eq!(core.outstanding_misses(), 4);
+        core
+    }
+
+    #[test]
+    fn completing_an_unknown_or_ready_load_panics() {
+        let panics = |f: &dyn Fn(&mut Core)| {
+            let mut core = four_misses();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut core)))
+                .expect_err("completion accepted")
+                .downcast::<&str>()
+                .map(|m| assert_eq!(*m, "completion for unknown load"))
+                .expect("a message");
+        };
+        // Never dispatched; ready-slot alias of a live load (ring of 128).
+        panics(&|c| c.complete_load(4));
+        panics(&|c| c.complete_load(128));
+        // Completed twice.
+        panics(&|c| {
+            c.complete_load(2);
+            c.complete_load(2);
+        });
+        // Already retired.
+        panics(&|c| {
+            c.complete_load(0);
+            c.step(2, &mut |_| unreachable!());
+            c.complete_load(0);
+        });
+    }
+
+    fn encode(core: &Core) -> Vec<u8> {
+        let mut out = Vec::new();
+        core.put(&mut out);
+        out
+    }
+
+    #[test]
+    fn window_loads_round_trip_and_reject_a_broken_sequence() {
+        let mut core = four_misses();
+        core.complete_load(0);
+        core.complete_load(2);
+        core.step(2, &mut |_| unreachable!());
+        // Load 0 retired; 1 (pending), 2 (ready) and 3 (pending) remain.
+        let bytes = encode(&core);
+        let fresh = || {
+            Core::new(
+                0,
+                CoreConfig::paper(),
+                Box::new(VecTrace::once(loads(4, 64, 0))),
+            )
+        };
+        let mut restored = fresh();
+        restored.load(&mut bytes.as_slice()).unwrap();
+        assert_eq!(encode(&restored), bytes);
+        restored.complete_load(1);
+        restored.complete_load(3);
+        for now in 3..6 {
+            restored.step(now, &mut |_| unreachable!());
+        }
+        assert!(restored.finished());
+        assert_eq!(restored.retired(), 4);
+        // The window is `[len][slot]...`; each load slot is a tag, an
+        // 8-byte id and a ready byte. Load 2's id becomes 7.
+        let id_at = |slot: usize| 8 + slot * 10 + 1;
+        assert_eq!(bytes[id_at(1)], 2);
+        let mut broken = bytes.clone();
+        broken[id_at(1)] = 7;
+        let err = fresh().load(&mut broken.as_slice()).unwrap_err();
+        assert!(err.contains("out of sequence"), "{err}");
+        // Consecutive loads 0..3 that do not end at the next load id, 4.
+        let mut shifted = bytes;
+        for slot in 0..3 {
+            shifted[id_at(slot)] -= 1;
+        }
+        let err = fresh().load(&mut shifted.as_slice()).unwrap_err();
+        assert!(err.contains("next load is 4"), "{err}");
+        // Ready runs merge at dispatch, so a window never holds an empty
+        // one or two in a row.
+        for (runs, why) in [(&[5u32, 3][..], "adjacent"), (&[0], "empty")] {
+            let mut window = Vec::new();
+            put_usize(&mut window, runs.len());
+            for &n in runs {
+                (0u8, n).put(&mut window);
+            }
+            let err = fresh().load(&mut window.as_slice()).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
     }
 
     #[test]

@@ -26,8 +26,8 @@ use crate::BusCycle;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rank {
     banks: Vec<Bank>,
-    /// Banks per bank group (`banks` when ungrouped).
-    banks_per_group: u8,
+    /// The bank group of each bank: its index into the per-group gates.
+    group: Vec<u8>,
     /// Rows per bank (clamps the refresh schedule's reported row ranges:
     /// the bin count is timing-derived, so shrunk test organizations have
     /// more bins than rows).
@@ -77,7 +77,9 @@ impl Rank {
         };
         Self {
             banks: (0..banks).map(|_| Bank::new()).collect(),
-            banks_per_group: cfg.org.banks_per_group().max(1),
+            group: (0..banks)
+                .map(|b| (b / cfg.org.banks_per_group().max(1)).min(cfg.org.bank_groups.max(1) - 1))
+                .collect(),
             rows: cfg.org.rows,
             next_act: 0,
             next_rd: 0,
@@ -93,7 +95,7 @@ impl Rank {
 
     /// The bank group `bank` belongs to.
     fn group_of(&self, bank: u8) -> usize {
-        usize::from(bank / self.banks_per_group).min(self.next_act_same.len().saturating_sub(1))
+        usize::from(self.group[usize::from(bank)])
     }
 
     /// Immutable access to a bank.

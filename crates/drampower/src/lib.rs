@@ -127,6 +127,11 @@ impl EnergyModel {
     /// Auto-precharging reads/writes are accounted as closing their bank
     /// at issue time — a sub-`tRTP` approximation that affects only the
     /// standby-state split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record names a channel or rank outside the
+    /// configuration's organization.
     pub fn energy(&self, log: &[CommandRecord], total_cycles: u64) -> EnergyBreakdown {
         let t = &self.cfg.timing;
         let tck = t.tck_ns;
@@ -150,34 +155,42 @@ impl EnergyModel {
         let e_ref = (self.idd.idd5b_ma - self.idd.idd2n_ma) * f64::from(ref_lockout) * tck * scale;
 
         // Background: reconstruct per-rank open-bank occupancy over time.
-        // Ranks are identified by (channel, rank) pairs found in the log;
-        // idle ranks contribute IDD2N for the whole run.
-        let ranks = u64::from(self.cfg.org.channels) * u64::from(self.cfg.org.ranks);
-        let mut active_cycles = 0u64; // Σ per-rank cycles with ≥1 open bank
-        {
-            use std::collections::HashMap;
-            let mut open: HashMap<(u8, u8), (u64, i32, u64)> = HashMap::new();
-            // (last_event_cycle, open_banks, active_cycles_accumulated)
-            for rec in log {
-                let entry = open.entry((rec.channel, rec.rank)).or_insert((0, 0, 0));
-                let (last, banks, acc) = *entry;
-                let add = if banks > 0 { rec.at - last } else { 0 };
-                let banks = match rec.kind {
-                    CommandKind::Act => banks + 1,
-                    CommandKind::Pre | CommandKind::RdA | CommandKind::WrA => (banks - 1).max(0),
-                    CommandKind::PreAll => 0,
-                    _ => banks,
-                };
-                *entry = (rec.at, banks, acc + add);
-            }
-            for (_, (last, banks, acc)) in open {
-                active_cycles += acc;
-                if banks > 0 {
-                    active_cycles += total_cycles.saturating_sub(last);
-                }
-            }
+        // Ranks are identified by (channel, rank) pairs; idle ranks
+        // contribute IDD2N for the whole run.
+        let per_channel = usize::from(self.cfg.org.ranks);
+        let ranks = usize::from(self.cfg.org.channels) * per_channel;
+        // Per rank: (last_event_cycle, open_banks, active_cycles_accumulated).
+        let mut open = vec![(0u64, 0i32, 0u64); ranks];
+        for rec in log {
+            assert!(
+                rec.rank < self.cfg.org.ranks && rec.channel < self.cfg.org.channels,
+                "command record for channel {} rank {} outside the organization",
+                rec.channel,
+                rec.rank
+            );
+            let entry = &mut open[usize::from(rec.channel) * per_channel + usize::from(rec.rank)];
+            let (last, banks, acc) = *entry;
+            let add = if banks > 0 { rec.at - last } else { 0 };
+            let banks = match rec.kind {
+                CommandKind::Act => banks + 1,
+                CommandKind::Pre | CommandKind::RdA | CommandKind::WrA => (banks - 1).max(0),
+                CommandKind::PreAll => 0,
+                _ => banks,
+            };
+            *entry = (rec.at, banks, acc + add);
         }
-        let total_rank_cycles = ranks * total_cycles;
+        // Σ per-rank cycles with ≥1 open bank.
+        let active_cycles: u64 = open
+            .iter()
+            .map(|&(last, banks, acc)| {
+                acc + if banks > 0 {
+                    total_cycles.saturating_sub(last)
+                } else {
+                    0
+                }
+            })
+            .sum();
+        let total_rank_cycles = ranks as u64 * total_cycles;
         let precharged_cycles = total_rank_cycles.saturating_sub(active_cycles);
         out.background_pj = (self.idd.idd3n_ma * active_cycles as f64
             + self.idd.idd2n_ma * precharged_cycles as f64)
@@ -261,6 +274,95 @@ mod tests {
         let ea = m.energy(&a, 10_000);
         let eb = m.energy(&b, 10_000);
         assert!(ea.background_pj < eb.background_pj);
+    }
+
+    /// The background fold as it was before the flat per-rank array: a
+    /// map keyed by the `(channel, rank)` pairs found in the log.
+    fn map_fold_active_cycles(log: &[CommandRecord], total_cycles: u64) -> u64 {
+        use std::collections::HashMap;
+        let mut open: HashMap<(u8, u8), (u64, i32, u64)> = HashMap::new();
+        for rec in log {
+            let entry = open.entry((rec.channel, rec.rank)).or_insert((0, 0, 0));
+            let (last, banks, acc) = *entry;
+            let add = if banks > 0 { rec.at - last } else { 0 };
+            let banks = match rec.kind {
+                CommandKind::Act => banks + 1,
+                CommandKind::Pre | CommandKind::RdA | CommandKind::WrA => (banks - 1).max(0),
+                CommandKind::PreAll => 0,
+                _ => banks,
+            };
+            *entry = (rec.at, banks, acc + add);
+        }
+        let mut active_cycles = 0;
+        for (_, (last, banks, acc)) in open {
+            active_cycles += acc;
+            if banks > 0 {
+                active_cycles += total_cycles.saturating_sub(last);
+            }
+        }
+        active_cycles
+    }
+
+    #[test]
+    fn random_multi_rank_log_folds_like_the_map_fold() {
+        let mut cfg = DramConfig::ddr3_1600_paper();
+        cfg.org.channels = 2;
+        cfg.org.ranks = 3;
+        let m = EnergyModel::ddr3_4gb_x8(cfg);
+        let kinds = [
+            CommandKind::Act,
+            CommandKind::Act,
+            CommandKind::Act,
+            CommandKind::Pre,
+            CommandKind::PreAll,
+            CommandKind::Rd,
+            CommandKind::RdA,
+            CommandKind::Wr,
+            CommandKind::WrA,
+            CommandKind::Ref,
+        ];
+        let mut x = 0x5eed_u64;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        for len in [0, 1, 7, 500, 5_000] {
+            let mut at = 0;
+            let log: Vec<CommandRecord> = (0..len)
+                .map(|_| {
+                    at += next(40);
+                    CommandRecord {
+                        at,
+                        kind: kinds[next(kinds.len() as u64) as usize],
+                        channel: next(2) as u8,
+                        rank: next(3) as u8,
+                    }
+                })
+                .collect();
+            // Runs ending before, at and after the last command.
+            for total in [at / 2, at, at + 1_000] {
+                let e = m.energy(&log, total);
+                let active = map_fold_active_cycles(&log, total);
+                let precharged = (6 * total).saturating_sub(active);
+                let t = &m.cfg.timing;
+                let scale = m.idd.vdd * f64::from(m.idd.devices_per_rank);
+                let background = (m.idd.idd3n_ma * active as f64
+                    + m.idd.idd2n_ma * precharged as f64)
+                    * t.tck_ns
+                    * scale;
+                assert_eq!(e.background_pj, background, "{len} records, {total} cycles");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the organization")]
+    fn a_record_outside_the_organization_panics() {
+        let mut r = rec(0, CommandKind::Act);
+        r.rank = 1;
+        model().energy(&[r], 100);
     }
 
     #[test]

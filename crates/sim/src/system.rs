@@ -45,6 +45,14 @@ pub struct System {
     wb_backlog: VecDeque<(u64, usize)>,
     /// Per-core sleep bookkeeping for the event engine.
     sleep: Vec<SleepState>,
+    /// The cores the event engine steps each cycle; the others sleep.
+    awake: CoreSet,
+    /// A lower bound on the sleeping cores' `wake_at`: until `now`
+    /// reaches it, no sleeping core is due and none is visited.
+    next_wake: u64,
+    /// Per core: reached the current run's target or finished. Both only
+    /// change when the core steps, so the event engine updates them there.
+    done: Vec<bool>,
     /// Reusable completion buffer. With it, the reused waiter lists and
     /// a memory system whose request path allocates nothing (no per-row
     /// index, closed rows held inline), a bus tick or an LLC miss makes
@@ -60,26 +68,63 @@ pub struct System {
 }
 
 /// Event-engine sleep state of one core. A core whose step accomplished
-/// nothing (no retire, no dispatch, no retry loop) is put to sleep: its
-/// per-cycle steps are skipped until a load completion arrives for it, a
-/// queued cache hit matures, or the run ends — at which point the skipped
-/// cycles are charged as stall time, exactly matching the per-cycle path.
+/// nothing (no retire, no dispatch, no retry loop) is put to sleep
+/// (removed from [`System::awake`]): its per-cycle steps are skipped
+/// until a load completion arrives for it, a queued cache hit matures,
+/// or the run ends — at which point the skipped cycles are charged as
+/// stall time, exactly matching the per-cycle path.
 #[derive(Debug, Clone, Copy)]
 struct SleepState {
-    asleep: bool,
     /// First cycle covered by the current sleep (stall accounting).
     since: u64,
     /// Cycle at which a queued cache hit matures (`u64::MAX` = only an
-    /// external completion can wake the core).
+    /// external completion can wake the core, or the core is awake).
     wake_at: u64,
 }
 
 impl SleepState {
     const AWAKE: SleepState = SleepState {
-        asleep: false,
         since: 0,
         wake_at: u64::MAX,
     };
+}
+
+/// A set of core indices, iterated in index order (one bit per core, so
+/// any core count fits).
+#[derive(Debug, Clone)]
+struct CoreSet(Vec<u64>);
+
+impl CoreSet {
+    /// The set of cores `0..n`.
+    fn full(n: usize) -> Self {
+        let mut set = Self(vec![0; n.div_ceil(64)]);
+        set.fill(n);
+        set
+    }
+
+    /// Makes this the set of cores `0..n`, in place.
+    fn fill(&mut self, n: usize) {
+        self.0.fill(u64::MAX);
+        if !n.is_multiple_of(64) {
+            self.0[n / 64] = (1 << (n % 64)) - 1;
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.0[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn insert(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.0[i / 64] &= !(1 << (i % 64));
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.iter().all(|&w| w == 0)
+    }
 }
 
 impl System {
@@ -130,7 +175,7 @@ impl System {
         if cfg.measure_energy {
             mem.device_mut().enable_log();
         }
-        let sleep = vec![SleepState::AWAKE; cfg.cores];
+        let n = cfg.cores;
         Ok(Self {
             cfg,
             cores,
@@ -140,7 +185,10 @@ impl System {
             waiters: FastHashMap::default(),
             spare_waiters: Vec::new(),
             wb_backlog: VecDeque::new(),
-            sleep,
+            sleep: vec![SleepState::AWAKE; n],
+            awake: CoreSet::full(n),
+            next_wake: u64::MAX,
+            done: vec![false; n],
             completions: Vec::new(),
             now: 0,
             bus_now: 0,
@@ -256,10 +304,11 @@ impl System {
                     for (core, load) in ws.drain(..) {
                         self.cores[core].complete_load(load);
                         // Data for a sleeping core is its wake-up call.
-                        let st = &mut self.sleep[core];
-                        if st.asleep {
+                        if !self.awake.contains(core) {
+                            let st = &mut self.sleep[core];
                             self.cores[core].absorb_idle_cycles(now - st.since);
                             *st = SleepState::AWAKE;
+                            self.awake.insert(core);
                         }
                     }
                     self.spare_waiters.push(ws);
@@ -283,9 +332,11 @@ impl System {
     }
 
     /// One event-engine cycle: boundary work, then a step for every core
-    /// that is awake (or due to wake this cycle). Quiescent cores go to
-    /// sleep; their skipped cycles are charged as stalls at wake-up.
-    fn step_event(&mut self) {
+    /// that is awake (or due to wake this cycle), in core order. Quiescent
+    /// cores go to sleep; their skipped cycles are charged as stalls at
+    /// wake-up. A stepped core that reaches `target` (or finishes) is
+    /// marked done; returns how many were.
+    fn step_event(&mut self, target: u64) -> usize {
         let now = self.now;
         let bus_now = self.bus_now;
         debug_assert_eq!(bus_now, now / self.cfg.cpu_per_bus);
@@ -296,6 +347,9 @@ impl System {
         if self.bus_phase == 0 && (self.mem.has_work(bus_now) || !self.wb_backlog.is_empty()) {
             self.tick_memory(bus_now);
         }
+        if self.next_wake <= now {
+            self.wake_due();
+        }
         let Self {
             cores,
             llc,
@@ -305,39 +359,70 @@ impl System {
             spare_waiters,
             wb_backlog,
             sleep,
+            awake,
+            next_wake,
+            done,
             ..
         } = self;
         let hit_latency = llc.config().hit_latency;
-        for (core, st) in cores.iter_mut().zip(sleep.iter_mut()) {
-            if st.asleep {
-                if st.wake_at > now {
-                    continue;
+        let mut newly_done = 0;
+        for w in 0..awake.0.len() {
+            let mut bits = awake.0[w];
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let core = &mut cores[i];
+                let outcome = core.step(now, &mut |access: MemAccess| {
+                    service_access(
+                        access,
+                        llc,
+                        mem,
+                        fills,
+                        waiters,
+                        spare_waiters,
+                        wb_backlog,
+                        now,
+                        bus_now,
+                        hit_latency,
+                    )
+                });
+                if !done[i] && (core.retired() >= target || core.finished()) {
+                    done[i] = true;
+                    newly_done += 1;
                 }
-                // A queued cache hit matured.
-                core.absorb_idle_cycles(now - st.since);
-                *st = SleepState::AWAKE;
-            }
-            let outcome = core.step(now, &mut |access: MemAccess| {
-                service_access(
-                    access,
-                    llc,
-                    mem,
-                    fills,
-                    waiters,
-                    spare_waiters,
-                    wb_backlog,
-                    now,
-                    bus_now,
-                    hit_latency,
-                )
-            });
-            if outcome.quiescent() {
-                st.asleep = true;
-                st.since = now + 1;
-                st.wake_at = core.next_event_cycle().unwrap_or(u64::MAX);
+                if outcome.quiescent() {
+                    let wake_at = core.next_event_cycle().unwrap_or(u64::MAX);
+                    sleep[i] = SleepState {
+                        since: now + 1,
+                        wake_at,
+                    };
+                    *next_wake = (*next_wake).min(wake_at);
+                    awake.remove(i);
+                }
             }
         }
         self.advance_clock();
+        newly_done
+    }
+
+    /// Wakes every sleeping core whose queued cache hit matures by `now`
+    /// and recomputes [`Self::next_wake`] from the cores left asleep.
+    fn wake_due(&mut self) {
+        let now = self.now;
+        let mut next = u64::MAX;
+        for (i, (core, st)) in self.cores.iter_mut().zip(&mut self.sleep).enumerate() {
+            if self.awake.contains(i) {
+                continue;
+            }
+            if st.wake_at <= now {
+                core.absorb_idle_cycles(now - st.since);
+                *st = SleepState::AWAKE;
+                self.awake.insert(i);
+            } else {
+                next = next.min(st.wake_at);
+            }
+        }
+        self.next_wake = next;
     }
 
     /// Earliest CPU cycle ≥ `self.now` at which anything observable can
@@ -369,12 +454,14 @@ impl System {
     /// statistics reads and engine switches see fully-accounted cores.
     fn wake_all(&mut self) {
         let now = self.now;
-        for (core, st) in self.cores.iter_mut().zip(self.sleep.iter_mut()) {
-            if st.asleep {
+        for (i, (core, st)) in self.cores.iter_mut().zip(&mut self.sleep).enumerate() {
+            if !self.awake.contains(i) {
                 core.absorb_idle_cycles(now - st.since);
                 *st = SleepState::AWAKE;
             }
         }
+        self.awake.fill(self.cores.len());
+        self.next_wake = u64::MAX;
     }
 
     /// Runs until every core has retired at least `target` instructions
@@ -385,32 +472,21 @@ impl System {
     /// produce bit-identical results (see `tests/engine_equivalence.rs`).
     pub fn run_until_retired(&mut self, target: u64, max_cycles: u64) -> bool {
         let deadline = self.now + max_cycles;
-        let event_skip = self.cfg.engine == Engine::EventSkip;
-        let reached = loop {
-            if self
-                .cores
-                .iter()
-                .all(|c| c.retired() >= target || c.finished())
-            {
-                break true;
-            }
-            if self.now >= deadline {
-                break false;
-            }
-            if event_skip {
-                self.step_event();
-                if self.sleep.iter().all(|s| s.asleep) {
-                    // Dead time: jump straight to the next event. The
-                    // sleeping cores' accounting catches up at wake-up.
-                    let next = self.next_event_cycle(deadline).min(deadline);
-                    if next > self.now {
-                        self.now = next;
-                        self.resync_clock();
-                    }
+        let reached = match self.cfg.engine {
+            Engine::PerCycle => loop {
+                if self
+                    .cores
+                    .iter()
+                    .all(|c| c.retired() >= target || c.finished())
+                {
+                    break true;
                 }
-            } else {
+                if self.now >= deadline {
+                    break false;
+                }
                 self.step();
-            }
+            },
+            Engine::EventSkip => self.run_event_skip(target, deadline),
         };
         self.wake_all();
         // Catch time-based mechanism state (invalidation counters) up to
@@ -419,6 +495,33 @@ impl System {
             self.mem.sync_mech((self.now - 1) / self.cfg.cpu_per_bus);
         }
         reached
+    }
+
+    /// The event-skip loop of [`Self::run_until_retired`]: steps the awake
+    /// cores, and jumps `now` to the next event whenever all sleep.
+    fn run_event_skip(&mut self, target: u64, deadline: u64) -> bool {
+        for (core, done) in self.cores.iter().zip(&mut self.done) {
+            *done = core.retired() >= target || core.finished();
+        }
+        let mut not_done = self.done.iter().filter(|&&d| !d).count();
+        loop {
+            if not_done == 0 {
+                return true;
+            }
+            if self.now >= deadline {
+                return false;
+            }
+            not_done -= self.step_event(target);
+            if self.awake.is_empty() {
+                // Dead time: jump straight to the next event. The
+                // sleeping cores' accounting catches up at wake-up.
+                let next = self.next_event_cycle(deadline).min(deadline);
+                if next > self.now {
+                    self.now = next;
+                    self.resync_clock();
+                }
+            }
+        }
     }
 
     /// Serializes the complete deterministic state of the system —
@@ -439,7 +542,7 @@ impl System {
     /// is encoded once: a declining mechanism rolls `out` back.
     pub fn save_state(&self, out: &mut Vec<u8>) -> bool {
         debug_assert!(
-            self.sleep.iter().all(|s| !s.asleep),
+            (0..self.cores.len()).all(|i| self.awake.contains(i)),
             "checkpoint taken with sleeping cores (not at a run boundary)"
         );
         debug_assert!(self.completions.is_empty());
@@ -539,6 +642,8 @@ impl State for System {
         for s in &mut self.sleep {
             *s = SleepState::AWAKE;
         }
+        self.awake.fill(self.cores.len());
+        self.next_wake = u64::MAX;
         self.completions.clear();
         self.resync_clock();
         Ok(())
@@ -694,6 +799,31 @@ mod tests {
             "reads = {}",
             sys.memory().stats().reads
         );
+    }
+
+    #[test]
+    fn more_than_64_cores_run_identically_under_both_engines() {
+        // Two words of the awake set; the cores finish at different times.
+        let run = |engine: Engine| {
+            let mut cfg = SystemConfig::paper_eight_core(MechanismSpec::chargecache());
+            cfg.cores = 70;
+            cfg.engine = engine;
+            let traces = (0..70)
+                .map(|i| load_trace(40 + i, 64 * (1 + i as u64 % 5), (i % 4) as u32))
+                .collect();
+            let mut sys = System::new(cfg, traces);
+            assert!(sys.run_until_retired(200, 10_000_000));
+            let stats: Vec<_> = (0..70).map(|i| *sys.core_stats(i)).collect();
+            (sys.now(), stats)
+        };
+        let dense = run(Engine::PerCycle);
+        assert_eq!(run(Engine::EventSkip), dense);
+        // Every core dispatched its whole trace.
+        assert!(dense
+            .1
+            .iter()
+            .enumerate()
+            .all(|(i, s)| s.loads == 40 + i as u64));
     }
 
     #[test]

@@ -103,9 +103,17 @@ impl StreamGen {
 impl TraceSource for StreamGen {
     fn next_entry(&mut self) -> Option<TraceEntry> {
         let s = self.next_stream;
-        self.next_stream = (self.next_stream + 1) % self.cursors.len();
-        let addr = self.params.region_base + s as u64 * self.separation + self.cursors[s];
-        self.cursors[s] = (self.cursors[s] + LINE) % self.span;
+        self.next_stream += 1;
+        if self.next_stream == self.cursors.len() {
+            self.next_stream = 0;
+        }
+        let cursor = &mut self.cursors[s];
+        let addr = self.params.region_base + s as u64 * self.separation + *cursor;
+        // `cursor < span` and `LINE <= span`: one subtraction wraps it.
+        *cursor += LINE;
+        if *cursor >= self.span {
+            *cursor -= self.span;
+        }
         let nonmem = sample_nonmem(&mut self.rng, self.params.mean_nonmem);
         let op = op_for(&mut self.rng, self.params.store_ratio, addr);
         Some(TraceEntry {
@@ -297,6 +305,23 @@ mod tests {
         assert_eq!(addr(&es[3]) - addr(&es[1]), LINE);
         // Streams are far apart.
         assert!(addr(&es[1]) >= 1 << 30);
+    }
+
+    #[test]
+    fn stream_cursors_wrap_like_a_modulo() {
+        // Spans that are not a multiple of the line size wrap mid-line.
+        for (streams, span) in [(1, LINE), (3, 100), (2, 1000), (5, 4096)] {
+            let mut p = GenParams::new(1);
+            p.store_ratio = 0.0;
+            let mut g = StreamGen::new(p, streams, span, 1 << 20);
+            let mut cursors = vec![0; streams];
+            for i in 0..500 {
+                let s = i % streams;
+                let addr = g.next_entry().unwrap().op.unwrap().addr();
+                assert_eq!(addr, s as u64 * (1 << 20) + cursors[s]);
+                cursors[s] = (cursors[s] + LINE) % span;
+            }
+        }
     }
 
     #[test]

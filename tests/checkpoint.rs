@@ -324,11 +324,16 @@ fn undecodable_or_stale_checkpoints_restart_from_zero_bit_identical() {
 // ---------------------------------------------------------------------------
 
 /// A deterministic single-cell `cc-sim` sweep (one workload, one
-/// mechanism, one thread) shared by the subprocess tests.
+/// mechanism, one thread) shared by the subprocess tests. The parameters
+/// the flags leave unset come from `ExpParams::bench()`, so the child
+/// does not inherit `CC_TINY`/`CC_SCALE`: the pinned payloads hold
+/// whatever the caller's environment.
 fn cc_sim(extra: &[&str]) -> std::process::Command {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_cc-sim"));
     cmd.env_remove("CC_CACHE_DIR")
         .env_remove("CC_FAULT_INJECTION")
+        .env_remove("CC_TINY")
+        .env_remove("CC_SCALE")
         .args([
             "run",
             "--workload",

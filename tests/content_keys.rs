@@ -65,11 +65,25 @@ fn non_default_specs_on_every_axis_keep_their_content_keys() {
 
 #[test]
 fn paper_default_cells_keep_their_content_keys() {
+    // Today's `ExpParams::bench()` defaults, spelled out: `bench()`
+    // reads `CC_TINY`/`CC_SCALE`, and the pinned keys must not.
+    let defaults = ExpParams {
+        insts_per_core: 120_000,
+        warmup_insts: 25_000,
+        max_cycle_factor: 150,
+        seed: 42,
+        checkpoint_interval: 0,
+    };
+    // Without either variable `bench()` must still equal them: a changed
+    // default would change every default cell's key and turn caches cold.
+    if std::env::var_os("CC_TINY").is_none() && std::env::var_os("CC_SCALE").is_none() {
+        assert_eq!(ExpParams::bench(), defaults);
+    }
     let exp = Experiment::new()
         .workload(workload("mcf").unwrap())
         .mix(eight_core_mixes()[0].clone())
         .mechanisms(&[MechanismSpec::baseline(), MechanismSpec::chargecache()])
-        .params(ExpParams::bench());
+        .params(defaults);
     assert_eq!(
         keys(exp),
         [
