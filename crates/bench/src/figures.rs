@@ -319,9 +319,9 @@ pub static FIGURES: &[Figure] = &[
             panel("(a) single-core", Workloads, BASE_CC,
                   Variants("entries", || capacities(&[32, 64, 128, 256, 512, 1024])), PerPoint,
                   &[col("1-core spdup", "chargecache", Rel(Speedup))]),
-            panel("(b) eight-core, IPC-sum speedup", Mixes(FEW), BASE_CC,
+            panel("(b) eight-core", Mixes(FEW), BASE_CC,
                   Variants("entries", || capacities(&[32, 64, 128, 256, 512, 1024])), PerPoint,
-                  &[col("8-core spdup", "chargecache", Rel(Speedup))]),
+                  &[col("8-core spdup", "chargecache", Rel(WeightedSpeedup))]),
         ]),
     },
     Figure {
@@ -333,9 +333,9 @@ pub static FIGURES: &[Figure] = &[
                   &[col("ΔtRCD/ΔtRAS", "chargecache", Point(reductions)),
                     col("1c spdup", "chargecache", Rel(Speedup)),
                     col("1c hit", "chargecache", Pct(HcracHitRate))]),
-            panel("(b) eight-core, IPC-sum speedup", Mixes(FEW), BASE_CC,
+            panel("(b) eight-core", Mixes(FEW), BASE_CC,
                   Variants("duration", || [1.0, 4.0, 8.0, 16.0].map(Variant::duration_ms).to_vec()), PerPoint,
-                  &[col("8c spdup", "chargecache", Rel(Speedup)),
+                  &[col("8c spdup", "chargecache", Rel(WeightedSpeedup)),
                     col("8c hit", "chargecache", Pct(HcracHitRate))]),
         ]),
     },

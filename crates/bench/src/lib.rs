@@ -354,7 +354,7 @@ mod tests {
 
     #[test]
     fn columns_read_mechanisms_and_variants_their_panel_declares() {
-        let registered = |m: &str| chargecache::registry::with_registry(|r| r.resolve(m).is_some());
+        let registered = |m: &str| chargecache::registry::resolve(m).is_some();
         for p in panels() {
             assert!(p.mechanisms.iter().all(|m| registered(m)), "{}", p.title);
             let labels: Vec<String> = match p.axis {

@@ -53,7 +53,6 @@ pub mod cell;
 pub mod consts;
 pub mod derive;
 pub mod senseamp;
-pub mod temperature;
 
 pub use activation::ActivationModel;
 pub use cell::CellModel;

@@ -18,9 +18,9 @@
 //!   [`Nuat`], [`CcNuat`] and [`LlDram`] (the paper's four comparison
 //!   points plus the do-nothing baseline);
 //! * [`spec`] — the open plugin API: [`MechanismSpec`] (typed parameters
-//!   with a `name(key=val,...)` string grammar) resolved through a
-//!   [`MechanismRegistry`] of factories, so custom mechanisms plug in
-//!   without editing this crate;
+//!   with a `name(key=val,...)` string grammar) resolved through the
+//!   [`registry`] of [`MechanismFactory`] objects, so custom mechanisms
+//!   plug in without editing this crate;
 //! * [`report`] — trait-based statistics ([`StatSink`] /
 //!   [`MechanismReport`]): mechanisms report named counters instead of
 //!   filling a fixed struct;
@@ -51,7 +51,6 @@
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod extensions;
 pub mod hcrac;
 pub mod invalidation;
 pub mod mechanism;
@@ -60,7 +59,6 @@ pub mod report;
 pub mod spec;
 
 pub use config::{ChargeCacheConfig, InvalidationPolicy, NuatConfig};
-pub use extensions::{AlDram, BestOf, TlDram};
 pub use hcrac::{Hcrac, HcracStats};
 pub use mechanism::{Baseline, CcNuat, ChargeCache, LatencyMechanism, LlDram, Nuat};
 pub use overhead::OverheadModel;
@@ -68,9 +66,7 @@ pub use report::{
     MechanismReport, StatSink, C_ACTIVATES, C_CLAMPED, C_HCRAC_EVICTIONS, C_HCRAC_HITS,
     C_HCRAC_INSERTS, C_HCRAC_INVALIDATIONS, C_HCRAC_LOOKUPS, C_REDUCED,
 };
-pub use spec::{
-    registry, MechanismContext, MechanismFactory, MechanismRegistry, MechanismSpec, ParamValue,
-};
+pub use spec::{registry, MechanismContext, MechanismFactory, MechanismSpec, ParamValue};
 
 /// Globally unique identifier of one DRAM row: channel, rank, bank and row
 /// packed into 64 bits. This is what the HCRAC tags.

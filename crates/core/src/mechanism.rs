@@ -25,9 +25,8 @@
 //!   reduced timings (ChargeCache with a 100% hit rate).
 //!
 //! They are instantiated through [`crate::MechanismSpec`] and the
-//! [`crate::MechanismRegistry`] (see [`crate::spec`]); the concrete
-//! constructors below remain public for direct composition (e.g.
-//! [`crate::BestOf`]).
+//! [`crate::registry`] (see [`crate::spec`]); the concrete constructors
+//! below stay public for systems built by hand.
 
 use bitline::derive::CycleQuantized;
 use dram::{ActTimings, BusCycle, TimingParams};

@@ -2,7 +2,7 @@
 //!
 //! A mechanism reports its statistics by pushing *named counters* into a
 //! [`StatSink`] instead of filling a fixed struct, so custom mechanisms
-//! registered through [`crate::spec::MechanismRegistry`] can expose
+//! registered through [`crate::registry`] can expose
 //! whatever counters they maintain without a `crates/core` edit. The
 //! concrete [`MechanismReport`] sink keeps counters in first-report order
 //! (deterministic output), merges repeats additively (per-channel

@@ -2,8 +2,8 @@
 //!
 //! A latency mechanism is configured by a [`MechanismSpec`] — a name plus
 //! typed key/value parameters in the shared `name(key=val,...)` spec
-//! grammar (see [`dram::spec`]) — and instantiated through a
-//! [`MechanismRegistry`] of [`MechanismFactory`] objects. The five paper
+//! grammar (see [`dram::spec`]) — and instantiated through the
+//! [`registry`] of [`MechanismFactory`] objects. The five paper
 //! mechanisms are registered by default; library users register custom
 //! mechanisms with [`registry::register_mechanism`] and can then run them through
 //! `SystemConfig`, `sim::api::Experiment` sweeps and the
@@ -64,7 +64,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 use dram::{is_token, Spec, SpecValue, TimingParams};
 
@@ -399,140 +399,79 @@ pub trait MechanismFactory: Send + Sync {
     ) -> Result<Box<dyn LatencyMechanism>, String>;
 }
 
-/// An ordered collection of [`MechanismFactory`] objects.
+/// The process-wide mechanism registry used by `SystemConfig`, `cc-sim`
+/// and `cc-simd`: one ordered list of [`MechanismFactory`] objects.
 ///
-/// Registration order is preserved (built-ins first, in paper order);
-/// registering a factory whose name collides with an existing one
-/// replaces it.
-pub struct MechanismRegistry {
-    factories: Vec<Arc<dyn MechanismFactory>>,
-}
+/// Registration order is preserved (the five built-ins first, in paper
+/// order); registering a factory whose name collides with an existing
+/// one replaces it.
+pub mod registry {
+    use super::*;
 
-impl MechanismRegistry {
-    /// An empty registry (no built-ins).
-    pub fn empty() -> Self {
-        Self {
-            factories: Vec::new(),
-        }
+    type Factories = Vec<Arc<dyn MechanismFactory>>;
+
+    fn global() -> &'static RwLock<Factories> {
+        static GLOBAL: OnceLock<RwLock<Factories>> = OnceLock::new();
+        GLOBAL.get_or_init(|| {
+            RwLock::new(vec![
+                Arc::new(BaselineFactory),
+                Arc::new(NuatFactory),
+                Arc::new(ChargeCacheFactory),
+                Arc::new(CcNuatFactory),
+                Arc::new(LlDramFactory),
+            ])
+        })
     }
 
-    /// A registry preloaded with the five paper mechanisms.
-    pub fn builtin() -> Self {
-        let mut r = Self::empty();
-        r.register(Arc::new(BaselineFactory));
-        r.register(Arc::new(NuatFactory));
-        r.register(Arc::new(ChargeCacheFactory));
-        r.register(Arc::new(CcNuatFactory));
-        r.register(Arc::new(LlDramFactory));
-        r
+    fn factories() -> RwLockReadGuard<'static, Factories> {
+        global().read().expect("mechanism registry poisoned")
     }
 
-    /// Registers a factory, replacing any prior factory of the same name.
-    pub fn register(&mut self, factory: Arc<dyn MechanismFactory>) {
-        if let Some(slot) = self
-            .factories
-            .iter_mut()
-            .find(|f| f.name() == factory.name())
-        {
-            *slot = factory;
-        } else {
-            self.factories.push(factory);
+    /// Registers a factory (replacing any prior factory of the same
+    /// name, so re-registration is idempotent).
+    pub fn register_mechanism(factory: Arc<dyn MechanismFactory>) {
+        let mut all = global().write().expect("mechanism registry poisoned");
+        match all.iter_mut().find(|f| f.name() == factory.name()) {
+            Some(slot) => *slot = factory,
+            None => all.push(factory),
         }
     }
 
     /// The factory registered under `name` (exact name or alias).
-    pub fn resolve(&self, name: &str) -> Option<&Arc<dyn MechanismFactory>> {
-        self.factories
+    pub fn resolve(name: &str) -> Option<Arc<dyn MechanismFactory>> {
+        factories()
             .iter()
             .find(|f| f.name() == name || f.aliases().contains(&name))
+            .cloned()
     }
 
-    /// Every factory, in registration order.
-    pub fn factories(&self) -> &[Arc<dyn MechanismFactory>] {
-        &self.factories
+    /// The factory of `spec`, or the unknown-mechanism message listing
+    /// every registered name.
+    fn factory_of(spec: &MechanismSpec) -> Result<Arc<dyn MechanismFactory>, String> {
+        resolve(spec.name()).ok_or_else(|| {
+            format!(
+                "unknown mechanism {:?} (registered: {})",
+                spec.name(),
+                factories()
+                    .iter()
+                    .map(|f| f.name())
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )
+        })
     }
 
     /// Validates a spec against its factory.
     ///
     /// # Errors
     ///
-    /// Returns a message if the name is unregistered or the factory
-    /// rejects the parameters.
-    pub fn validate(&self, spec: &MechanismSpec) -> Result<(), String> {
-        match self.resolve(spec.name()) {
-            None => Err(format!(
-                "unknown mechanism {:?} (registered: {})",
-                spec.name(),
-                self.factories
-                    .iter()
-                    .map(|f| f.name())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            )),
-            Some(f) => f.validate(spec),
-        }
-    }
-
-    /// Builds one mechanism instance for `spec`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message if the name is unregistered or the factory
-    /// rejects the parameters.
-    pub fn build(
-        &self,
-        spec: &MechanismSpec,
-        ctx: &MechanismContext,
-    ) -> Result<Box<dyn LatencyMechanism>, String> {
-        match self.resolve(spec.name()) {
-            None => Err(self.validate(spec).unwrap_err()),
-            Some(f) => f.build(spec, ctx),
-        }
-    }
-}
-
-impl Default for MechanismRegistry {
-    fn default() -> Self {
-        Self::builtin()
-    }
-}
-
-/// The process-wide registry used by `SystemConfig` and `cc-sim`.
-pub mod registry {
-    use super::*;
-
-    fn global() -> &'static RwLock<MechanismRegistry> {
-        static GLOBAL: OnceLock<RwLock<MechanismRegistry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| RwLock::new(MechanismRegistry::builtin()))
-    }
-
-    /// Registers a factory in the global registry (replacing any prior
-    /// factory of the same name, so re-registration is idempotent).
-    pub fn register_mechanism(factory: Arc<dyn MechanismFactory>) {
-        global()
-            .write()
-            .expect("mechanism registry poisoned")
-            .register(factory);
-    }
-
-    /// Runs `f` with read access to the global registry.
-    pub fn with_registry<R>(f: impl FnOnce(&MechanismRegistry) -> R) -> R {
-        f(&global().read().expect("mechanism registry poisoned"))
-    }
-
-    /// Validates a spec against the global registry
-    /// (see [`MechanismRegistry::validate`]).
-    ///
-    /// # Errors
-    ///
     /// Returns a message if the name is unregistered or the parameters
     /// are rejected.
     pub fn validate_spec(spec: &MechanismSpec) -> Result<(), String> {
-        with_registry(|r| r.validate(spec))
+        factory_of(spec)?.validate(spec)
     }
 
-    /// Builds a mechanism from the global registry
-    /// (see [`MechanismRegistry::build`]).
+    /// Builds one mechanism instance for `spec`.
     ///
     /// # Errors
     ///
@@ -542,15 +481,12 @@ pub mod registry {
         spec: &MechanismSpec,
         ctx: &MechanismContext,
     ) -> Result<Box<dyn LatencyMechanism>, String> {
-        with_registry(|r| r.build(spec, ctx))
+        factory_of(spec)?.build(spec, ctx)
     }
 
     /// The figure-legend label of a spec (name if unregistered).
     pub fn label_of(spec: &MechanismSpec) -> String {
-        with_registry(|r| {
-            r.resolve(spec.name())
-                .map_or_else(|| spec.name().to_string(), |f| f.label().to_string())
-        })
+        resolve(spec.name()).map_or_else(|| spec.name().to_string(), |f| f.label().to_string())
     }
 
     /// Returns `spec` with its name replaced by the registered factory's
@@ -559,10 +495,9 @@ pub mod registry {
     /// Unregistered names pass through unchanged (they fail validation
     /// with their own message later).
     pub fn canonicalize(spec: &MechanismSpec) -> MechanismSpec {
-        let canonical = with_registry(|r| r.resolve(spec.name()).map(|f| f.name().to_string()));
-        match canonical {
-            Some(name) if name != spec.name() => {
-                let mut renamed = MechanismSpec::new(name);
+        match resolve(spec.name()) {
+            Some(f) if f.name() != spec.name() => {
+                let mut renamed = MechanismSpec::new(f.name().to_string());
                 for (k, v) in spec.params() {
                     renamed.set(k.clone(), v.clone());
                 }
@@ -578,28 +513,23 @@ pub mod registry {
     /// ChargeCache cells but leaves Baseline cells untouched (and
     /// memoizable).
     pub fn supports_param(spec: &MechanismSpec, key: &str) -> bool {
-        with_registry(|r| {
-            r.resolve(spec.name())
-                .is_some_and(|f| f.defaults().get(key).is_some())
-        })
+        resolve(spec.name()).is_some_and(|f| f.defaults().get(key).is_some())
     }
 
     /// `(name, label, defaults, description)` of every registered
     /// factory, in registration order (for `cc-sim --list-mechanisms`).
     pub fn list() -> Vec<(String, String, MechanismSpec, String)> {
-        with_registry(|r| {
-            r.factories()
-                .iter()
-                .map(|f| {
-                    (
-                        f.name().to_string(),
-                        f.label().to_string(),
-                        f.defaults(),
-                        f.describe().to_string(),
-                    )
-                })
-                .collect()
-        })
+        factories()
+            .iter()
+            .map(|f| {
+                (
+                    f.name().to_string(),
+                    f.label().to_string(),
+                    f.defaults(),
+                    f.describe().to_string(),
+                )
+            })
+            .collect()
     }
 }
 
@@ -1089,58 +1019,54 @@ mod tests {
     #[test]
     fn builtin_registry_builds_all_five() {
         let timing = TimingParams::ddr3_1600();
-        let r = MechanismRegistry::builtin();
         for spec in MechanismSpec::paper_all() {
-            r.validate(&spec).unwrap();
-            let m = r.build(&spec, &ctx(&timing)).unwrap();
+            registry::validate_spec(&spec).unwrap();
+            let m = registry::build_spec(&spec, &ctx(&timing)).unwrap();
             assert_eq!(m.name(), spec.name());
         }
-        assert_eq!(r.factories().len(), 5);
+        // Other tests may register more factories concurrently; the
+        // built-ins always lead, in paper order.
+        let names: Vec<String> = registry::list().into_iter().map(|(n, ..)| n).collect();
+        let paper: Vec<String> = MechanismSpec::paper_all()
+            .iter()
+            .map(|s| s.name().to_string())
+            .collect();
+        assert_eq!(names[..5], paper[..]);
     }
 
     #[test]
     fn aliases_resolve_to_the_same_factory() {
-        let r = MechanismRegistry::builtin();
-        assert_eq!(r.resolve("cc").unwrap().name(), "chargecache");
-        assert_eq!(r.resolve("ccnuat").unwrap().name(), "cc-nuat");
-        assert_eq!(r.resolve("ll").unwrap().name(), "lldram");
-        assert!(r.resolve("nope").is_none());
+        assert_eq!(registry::resolve("cc").unwrap().name(), "chargecache");
+        assert_eq!(registry::resolve("ccnuat").unwrap().name(), "cc-nuat");
+        assert_eq!(registry::resolve("ll").unwrap().name(), "lldram");
+        assert!(registry::resolve("nope").is_none());
     }
 
     #[test]
     fn validation_rejects_bad_params_without_building() {
-        let r = MechanismRegistry::builtin();
+        let validate = |s: &str| registry::validate_spec(&s.parse().unwrap()).unwrap_err();
         // entries=0: no HCRAC capacity.
-        let e = r
-            .validate(&"chargecache(entries=0)".parse().unwrap())
-            .unwrap_err();
+        let e = validate("chargecache(entries=0)");
         assert!(e.contains("entry"), "{e}");
         // 96/2 = 48 sets: not a power of two.
-        let e = r
-            .validate(&"chargecache(entries=96)".parse().unwrap())
-            .unwrap_err();
+        let e = validate("chargecache(entries=96)");
         assert!(e.contains("power of two"), "{e}");
         // Zero caching duration.
-        let e = r
-            .validate(&"chargecache(duration=0ms)".parse().unwrap())
-            .unwrap_err();
+        let e = validate("chargecache(duration=0ms)");
         assert!(e.contains("positive"), "{e}");
         // Unknown parameter key.
-        let e = r
-            .validate(&"baseline(entries=128)".parse().unwrap())
-            .unwrap_err();
+        let e = validate("baseline(entries=128)");
         assert!(e.contains("unknown parameter"), "{e}");
         // Unknown mechanism.
-        let e = r.validate(&"warp-drive".parse().unwrap()).unwrap_err();
+        let e = validate("warp-drive");
         assert!(e.contains("unknown mechanism"), "{e}");
     }
 
     #[test]
     fn chargecache_params_reach_the_mechanism() {
         let timing = TimingParams::ddr3_1600();
-        let r = MechanismRegistry::builtin();
         let spec: MechanismSpec = "chargecache(duration=16ms)".parse().unwrap();
-        let mut m = r.build(&spec, &ctx(&timing)).unwrap();
+        let mut m = registry::build_spec(&spec, &ctx(&timing)).unwrap();
         // 16 ms reductions are weaker than the 1 ms pair (Table 2).
         let key = crate::RowKey::new(0, 0, 0, 1);
         m.on_precharge(0, 0, key);
@@ -1172,12 +1098,17 @@ mod tests {
                 Ok(Box::new(Baseline::new(ctx.timing)))
             }
         }
-        let mut r = MechanismRegistry::builtin();
-        r.register(Arc::new(Custom));
-        assert_eq!(r.factories().len(), 6);
-        r.validate(&"custom-test(x=1)".parse().unwrap()).unwrap();
+        let custom = || {
+            registry::list()
+                .iter()
+                .filter(|(n, ..)| n == "custom-test")
+                .count()
+        };
+        registry::register_mechanism(Arc::new(Custom));
+        assert_eq!(custom(), 1);
+        registry::validate_spec(&"custom-test(x=1)".parse().unwrap()).unwrap();
         // Re-registration replaces, not duplicates.
-        r.register(Arc::new(Custom));
-        assert_eq!(r.factories().len(), 6);
+        registry::register_mechanism(Arc::new(Custom));
+        assert_eq!(custom(), 1);
     }
 }

@@ -133,8 +133,8 @@ impl MemorySystem {
     }
 
     /// A system running the mechanism described by `spec` on every
-    /// channel, resolved through the global
-    /// [`chargecache::MechanismRegistry`] for `cores` cores.
+    /// channel, resolved through the global [`chargecache::registry`] for
+    /// `cores` cores.
     ///
     /// # Errors
     ///

@@ -1311,18 +1311,6 @@ impl SweepResult {
         })
     }
 
-    /// All cells of one mechanism × variant, in subject order
-    /// (`mechanism` matches as in [`SweepResult::cell`]).
-    pub fn cells_of<'a>(
-        &'a self,
-        mechanism: &'a str,
-        variant: &'a str,
-    ) -> impl Iterator<Item = &'a Cell> + 'a {
-        self.cells
-            .iter()
-            .filter(move |c| spec_matches(&c.mechanism, mechanism) && c.variant == variant)
-    }
-
     /// Alone-run IPC of one workload, when computed.
     pub fn alone_ipc(&self, workload: &str) -> Option<f64> {
         self.alone

@@ -83,7 +83,7 @@ use std::process::ExitCode;
 use chargecache::{registry, MechanismSpec, OverheadModel, ParamValue};
 use chargecache_repro::mechs::register_extended_mechanisms;
 use dram::{FamilySpec, TimingSpec};
-use sim::api::{Experiment, SweepResult};
+use sim::api::{Experiment, Subject, SweepResult};
 use sim::exp::{default_threads, ExpParams};
 use sim::{DiskCache, RunResult};
 use simd::{Client, ClientError, SweepSpec};
@@ -117,12 +117,9 @@ fn main() -> ExitCode {
         "--list-mechanisms" => cmd_list_mechanisms(),
         "--list-timings" => cmd_list_timings(),
         "--list-families" => cmd_list_families(),
-        "run" => RunArgs::parse(rest)
+        "run" | "mix" => SweepCmd::parse(cmd, rest)
             .map_err(CliError::Usage)
-            .and_then(|a| cmd_run(&a)),
-        "mix" => MixArgs::parse(rest)
-            .map_err(CliError::Usage)
-            .and_then(|a| cmd_mix(&a)),
+            .and_then(|a| cmd_sweep(&a)),
         "bitline" => BitlineArgs::parse(rest)
             .map_err(CliError::Usage)
             .and_then(|a| cmd_bitline(&a)),
@@ -659,54 +656,42 @@ fn parse_mechanisms(v: &str) -> Result<Vec<MechanismSpec>, String> {
     Ok(vec![spec])
 }
 
-struct RunArgs {
-    workload: String,
+/// A parsed `run` or `mix` command: its subject plus the shared flags.
+struct SweepCmd {
+    subject: Subject,
     sweep: SweepArgs,
 }
 
-impl RunArgs {
-    fn parse(args: &[String]) -> Result<Self, String> {
+impl SweepCmd {
+    /// Parses the flags of `cmd` (`run --workload NAME` or `mix --index N`)
+    /// and looks up the subject they name.
+    fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
         let mut cur = Cursor::new(args);
-        let mut workload = None;
-        let mut sweep = SweepArgs::default();
-        while let Some(flag) = cur.next_flag()? {
-            if sweep.try_flag(flag, &mut cur)? {
-                continue;
-            }
-            match flag {
-                "workload" => workload = Some(cur.value(flag)?.to_string()),
-                other => return Err(format!("unknown flag --{other} for `run`")),
-            }
-        }
-        sweep.check()?;
-        Ok(Self {
-            workload: workload.ok_or("run needs --workload <name> (see `cc-sim list`)")?,
-            sweep,
-        })
-    }
-}
-
-struct MixArgs {
-    index: usize,
-    sweep: SweepArgs,
-}
-
-impl MixArgs {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        let mut cur = Cursor::new(args);
+        let mut name = None;
         let mut index = 1usize;
         let mut sweep = SweepArgs::default();
         while let Some(flag) = cur.next_flag()? {
             if sweep.try_flag(flag, &mut cur)? {
                 continue;
             }
-            match flag {
-                "index" => index = cur.parsed(flag)?,
-                other => return Err(format!("unknown flag --{other} for `mix`")),
+            match (cmd, flag) {
+                ("run", "workload") => name = Some(cur.value(flag)?.to_string()),
+                ("mix", "index") => index = cur.parsed(flag)?,
+                (_, other) => return Err(format!("unknown flag --{other} for `{cmd}`")),
             }
         }
         sweep.check()?;
-        Ok(Self { index, sweep })
+        let subject = if cmd == "run" {
+            let name = name.ok_or("run needs --workload <name> (see `cc-sim list`)")?;
+            Subject::Single(workload(&name).ok_or_else(|| format!("unknown workload {name:?}"))?)
+        } else {
+            let mixes = eight_core_mixes();
+            let mix = mixes
+                .get(index.wrapping_sub(1))
+                .ok_or_else(|| format!("--index must be 1..={}", mixes.len()))?;
+            Subject::Mix(mix.clone())
+        };
+        Ok(Self { subject, sweep })
     }
 }
 
@@ -846,8 +831,7 @@ fn cmd_list() -> Result<(), CliError> {
     Ok(())
 }
 
-fn print_result(label: &str, r: &RunResult, base_ipc: Option<f64>, csv: bool, cores: usize) {
-    let ipc = if cores == 1 { r.ipc(0) } else { r.ipc_sum() };
+fn print_result(label: &str, r: &RunResult, ipc: f64, base_ipc: Option<f64>, csv: bool) {
     let speedup = base_ipc.map(|b| ipc / b - 1.0);
     if csv {
         println!(
@@ -882,33 +866,40 @@ fn csv_header(csv: bool) {
     }
 }
 
-fn cmd_run(args: &RunArgs) -> Result<(), CliError> {
-    let spec = workload(&args.workload)
-        .ok_or_else(|| CliError::Usage(format!("unknown workload {:?}", args.workload)))?;
+fn cmd_sweep(args: &SweepCmd) -> Result<(), CliError> {
+    let subject = &args.subject;
     let a = &args.sweep;
     if a.server.is_some() {
-        return run_served(a, spec.name);
+        return run_served(a, subject.name());
     }
-    let sweep = a
-        .experiment()
-        .map_err(CliError::Usage)?
-        .workload(spec.clone())
-        .run()
-        .map_err(|e| CliError::Usage(e.to_string()))?;
+    let exp = a.experiment().map_err(CliError::Usage)?;
+    let exp = match subject {
+        Subject::Single(w) => exp.workload(w.clone()),
+        Subject::Mix(m) => exp.mix(m.clone()),
+    };
+    let sweep = exp.run().map_err(|e| CliError::Usage(e.to_string()))?;
 
     if a.json {
         a.emit_json(&sweep)?;
         return finish_sweep(a, &sweep);
     }
     if !a.csv {
-        let mechs: Vec<String> = sweep.mechanisms.iter().map(|m| m.to_string()).collect();
-        println!(
-            "workload {} | {} | {} | {} insts/core\n",
-            spec.name,
-            sweep.timings[0],
-            mechs.join(", "),
-            sweep.params.insts_per_core
-        );
+        match subject {
+            Subject::Single(w) => {
+                let mechs: Vec<String> = sweep.mechanisms.iter().map(|m| m.to_string()).collect();
+                println!(
+                    "workload {} | {} | {} | {} insts/core\n",
+                    w.name,
+                    sweep.timings[0],
+                    mechs.join(", "),
+                    sweep.params.insts_per_core
+                );
+            }
+            Subject::Mix(m) => {
+                let names: Vec<&str> = m.apps.iter().map(|a| a.name).collect();
+                println!("mix {} : {}\n", m.name, names.join(", "));
+            }
+        }
     }
     csv_header(a.csv);
     let mut base_ipc = None;
@@ -920,51 +911,12 @@ fn cmd_run(args: &RunArgs) -> Result<(), CliError> {
         if r.hit_cycle_cap {
             eprintln!("warning: {} hit the safety cycle cap", cell.mechanism);
         }
+        // Core-0 IPC for a workload, the IPC sum for a mix.
+        let ipc = cell.headline_ipc();
         if cell.mechanism.name() == "baseline" {
-            base_ipc = Some(r.ipc(0));
+            base_ipc = Some(ipc);
         }
-        print_result(&cell.mechanism.label(), r, base_ipc, a.csv, 1);
-    }
-    finish_sweep(a, &sweep)
-}
-
-fn cmd_mix(args: &MixArgs) -> Result<(), CliError> {
-    let mixes = eight_core_mixes();
-    let mix = mixes
-        .get(args.index.wrapping_sub(1))
-        .ok_or_else(|| CliError::Usage(format!("--index must be 1..={}", mixes.len())))?;
-    let a = &args.sweep;
-    if a.server.is_some() {
-        return run_served(a, &mix.name);
-    }
-    let sweep = a
-        .experiment()
-        .map_err(CliError::Usage)?
-        .mix(mix.clone())
-        .run()
-        .map_err(|e| CliError::Usage(e.to_string()))?;
-
-    if a.json {
-        a.emit_json(&sweep)?;
-        return finish_sweep(a, &sweep);
-    }
-    if !a.csv {
-        let names: Vec<&str> = mix.apps.iter().map(|a| a.name).collect();
-        println!("mix {} : {}\n", mix.name, names.join(", "));
-    }
-    csv_header(a.csv);
-    let mut base_ipc = None;
-    for cell in &sweep.cells {
-        let Ok(r) = &cell.outcome else {
-            continue;
-        };
-        if r.hit_cycle_cap {
-            eprintln!("warning: {} hit the safety cycle cap", cell.mechanism);
-        }
-        if cell.mechanism.name() == "baseline" {
-            base_ipc = Some(r.ipc_sum());
-        }
-        print_result(&cell.mechanism.label(), r, base_ipc, a.csv, 8);
+        print_result(&cell.mechanism.label(), r, ipc, base_ipc, a.csv);
     }
     finish_sweep(a, &sweep)
 }

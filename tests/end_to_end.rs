@@ -1,7 +1,9 @@
 //! Cross-crate integration tests: the paper's qualitative results must
 //! hold end-to-end on tiny (debug-friendly) runs.
 
-use chargecache::MechanismSpec;
+use chargecache::{Baseline, ChargeCache, ChargeCacheConfig, LatencyMechanism, MechanismSpec};
+use dram::{DramConfig, SpeedBin, TimingParams};
+use memctrl::{AccessKind, CtrlConfig, MemRequest, MemorySystem};
 use sim::exp::{run_configured, ExpParams};
 use sim::{RunResult, SystemConfig};
 use traces::{eight_core_mixes, workload, MixSpec, WorkloadSpec};
@@ -156,4 +158,90 @@ fn all_mechanisms_run_an_eight_core_mix() {
             assert!(r.ipc(core) > 0.0, "{spec} core {core} stuck");
         }
     }
+}
+
+/// Drives `n` row-conflict-heavy reads through a memory system to
+/// completion; returns the cycle count.
+fn drive(mut mem: MemorySystem, n: u64) -> u64 {
+    let row_stride = mem.device().config().org.row_bytes()
+        * u64::from(mem.device().config().org.banks)
+        * u64::from(mem.device().config().org.channels);
+    let mut now = 0u64;
+    let mut submitted = 0u64;
+    let mut completed = 0u64;
+    while completed < n {
+        if submitted < n {
+            let addr = (submitted % 2) * row_stride + (submitted % 32) * 64;
+            if mem
+                .try_enqueue(
+                    MemRequest {
+                        addr,
+                        kind: AccessKind::Read,
+                        core: 0,
+                    },
+                    now,
+                )
+                .is_some()
+            {
+                submitted += 1;
+            }
+        }
+        completed += mem.tick(now).len() as u64;
+        now += 1;
+        assert!(now < 10_000_000, "deadlock driving the memory system");
+    }
+    now
+}
+
+/// The paper's single-channel DDR3 memory system running `mech`.
+fn system(mech: Box<dyn LatencyMechanism>) -> MemorySystem {
+    MemorySystem::new(
+        DramConfig::ddr3_1600_paper(),
+        CtrlConfig::default(),
+        vec![mech],
+    )
+}
+
+/// On [`drive`]'s row-conflict-heavy stream, ChargeCache only ever
+/// shortens activations, so it finishes no later than baseline.
+#[test]
+fn chargecache_never_slows_a_row_conflict_stream() {
+    let t = TimingParams::ddr3_1600();
+    let n = 600;
+    let base = drive(system(Box::new(Baseline::new(&t))), n);
+    let cc = drive(
+        system(Box::new(ChargeCache::new(
+            ChargeCacheConfig::paper(),
+            &t,
+            1,
+        ))),
+        n,
+    );
+    assert!(cc <= base, "CC {cc} vs baseline {base}");
+}
+
+#[test]
+fn chargecache_runs_on_every_speed_bin() {
+    for bin in SpeedBin::ALL {
+        let mut cfg = DramConfig::ddr3_1600_paper();
+        cfg.timing = bin.timing();
+        let mech = Box::new(ChargeCache::new(ChargeCacheConfig::paper(), &cfg.timing, 1));
+        let mem = MemorySystem::new(cfg, CtrlConfig::default(), vec![mech]);
+        let cycles = drive(mem, 100);
+        assert!(cycles > 0, "{bin:?}");
+    }
+}
+
+#[test]
+fn chargecache_runs_on_the_stacked_organization() {
+    let cfg = DramConfig::stacked_like();
+    let mechs = (0..cfg.org.channels)
+        .map(|_| {
+            Box::new(ChargeCache::new(ChargeCacheConfig::paper(), &cfg.timing, 1))
+                as Box<dyn LatencyMechanism>
+        })
+        .collect();
+    let mem = MemorySystem::new(cfg, CtrlConfig::default(), mechs);
+    let cycles = drive(mem, 400);
+    assert!(cycles > 0);
 }

@@ -66,9 +66,9 @@ fn table1_configuration_is_encoded() {
     assert_eq!(s.llc.capacity_bytes, 4 << 20);
     assert_eq!(s.llc.ways, 16);
     // Table 1's HCRAC defaults now live in the mechanism factory.
-    let defaults = chargecache::registry::with_registry(|r| {
-        r.resolve("chargecache").expect("built-in").defaults()
-    });
+    let defaults = chargecache::registry::resolve("chargecache")
+        .expect("built-in")
+        .defaults();
     assert_eq!(defaults.usize_param("entries", 0).unwrap(), 128);
     assert_eq!(defaults.usize_param("ways", 0).unwrap(), 2);
     assert_eq!(defaults.duration_ms_param("duration", 0.0).unwrap(), 1.0);
