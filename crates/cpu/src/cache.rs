@@ -2,7 +2,8 @@
 //! write-allocate (without fetch for stores).
 
 use fasthash::codec::{
-    put_u32, put_usize, take_bool, take_len, take_u32, take_u64, take_usize, CodecResult, State,
+    put_bool, put_u32, put_u64, put_u8, put_usize, take_bool, take_len, take_u32, take_u64,
+    take_u8, take_usize, CodecResult, State,
 };
 use fasthash::impl_state;
 
@@ -47,10 +48,15 @@ impl LlcConfig {
         if !self.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
         }
-        if self.line_bytes < 2 {
-            // A line's tag keeps its dirty flag in the top bit, which a
-            // line number is free of only when lines span two bytes.
-            return Err("line size must be at least 2 bytes".into());
+        if self.line_bytes < 4 {
+            // A way's tag keeps its valid and dirty flags in the top two
+            // bits, which a line number is free of only when lines span
+            // four bytes.
+            return Err("line size must be at least 4 bytes".into());
+        }
+        if self.ways > 256 {
+            // Recency ranks are bytes.
+            return Err("at most 256 ways".into());
         }
         if !self
             .capacity_bytes
@@ -100,40 +106,13 @@ impl LlcStats {
     }
 }
 
-/// One cache line in 16 bytes. The line is valid iff `stamp` (its LRU
-/// time) is non-zero: the stamp counter is bumped before every use, so
-/// no touched line carries 0. The dirty flag is the tag's top bit
-/// ([`DIRTY`]), which no line number reaches.
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    /// Line number (`addr >> line_shift`), or'ed with [`DIRTY`].
-    tag: u64,
-    /// LRU time of the last touch; 0 marks an empty way.
-    stamp: u64,
-}
-
-/// The dirty flag's bit in [`Line::tag`].
+/// A way's tag: the line number (`addr >> line_shift`) or'ed with
+/// [`VALID`], and with [`DIRTY`] once written. An empty way's tag is 0,
+/// which no valid line matches.
 const DIRTY: u64 = 1 << 63;
 
-impl Line {
-    fn valid(&self) -> bool {
-        self.stamp != 0
-    }
-
-    fn dirty(&self) -> bool {
-        self.tag & DIRTY != 0
-    }
-
-    /// The line number, without the dirty flag.
-    fn line(&self) -> u64 {
-        self.tag & !DIRTY
-    }
-
-    /// True if this way holds line `tag`.
-    fn holds(&self, tag: u64) -> bool {
-        self.valid() && self.line() == tag
-    }
-}
+/// The valid flag's bit in a way's tag.
+const VALID: u64 = 1 << 62;
 
 /// Outcome of an LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,15 +128,42 @@ pub enum LlcOutcome {
 }
 
 /// The shared last-level cache.
+///
+/// Ways are stored as two parallel arrays, 9 bytes a way: the tag (see
+/// [`DIRTY`] and [`VALID`]) and a recency rank within the set (0 = most
+/// recently used). Each set's ranks are a permutation of `0..ways`, and
+/// its empty ways rank below every valid way, the first empty way
+/// lowest. So the way ranked `ways - 1` is the victim: the first empty
+/// way while one is left, else the least recently used.
 #[derive(Debug, Clone)]
 pub struct Llc {
     cfg: LlcConfig,
     sets: usize,
     /// `log2(line_bytes)` — lines are located by shift, not division.
     line_shift: u32,
-    lines: Vec<Line>,
-    stamp: u64,
+    tags: Vec<u64>,
+    ranks: Vec<u8>,
     stats: LlcStats,
+}
+
+/// The ranks of an empty set: way `i` ranks `ways - 1 - i`, so the
+/// first way is the first victim.
+fn empty_ranks(set: &mut [u8]) {
+    let ways = set.len();
+    for (i, r) in set.iter_mut().enumerate() {
+        *r = (ways - 1 - i) as u8;
+    }
+}
+
+/// Makes way `w` of a set its most recently used: every way ranked
+/// above it (more recent) moves down one.
+#[inline]
+fn promote(ranks: &mut [u8], w: usize) {
+    let r = ranks[w];
+    for x in ranks.iter_mut() {
+        *x += u8::from(*x < r);
+    }
+    ranks[w] = 0;
 }
 
 impl Llc {
@@ -169,12 +175,14 @@ impl Llc {
     pub fn new(cfg: LlcConfig) -> Self {
         cfg.validate().expect("invalid LLC configuration");
         let sets = cfg.sets();
+        let mut ranks = vec![0; sets * cfg.ways];
+        ranks.chunks_exact_mut(cfg.ways).for_each(empty_ranks);
         Self {
             line_shift: cfg.line_bytes.trailing_zeros(),
             cfg,
             sets,
-            lines: vec![Line::default(); sets * cfg.ways],
-            stamp: 0,
+            tags: vec![0; sets * cfg.ways],
+            ranks,
             stats: LlcStats::default(),
         }
     }
@@ -231,93 +239,56 @@ impl Llc {
 
     /// True if the line is present (no LRU update, no stats).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.set_lines(set).iter().any(|l| l.holds(tag))
+        let (set, key) = self.locate(addr);
+        self.tags[set..set + self.cfg.ways]
+            .iter()
+            .any(|&t| t & !DIRTY == key)
     }
 
+    /// The first way of the set holding `addr`, and the tag a valid
+    /// line of `addr` carries without its dirty flag.
+    #[inline]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
-        (set, line)
-    }
-
-    fn set_lines(&self, set: usize) -> &[Line] {
-        &self.lines[set * self.cfg.ways..(set + 1) * self.cfg.ways]
+        (set * self.cfg.ways, line | VALID)
     }
 
     /// LRU-touches the line if present; optionally marks dirty.
     fn touch(&mut self, addr: u64, dirty: bool) -> bool {
-        let (set, tag) = self.locate(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let (set, key) = self.locate(addr);
         let ways = self.cfg.ways;
-        let slice = &mut self.lines[set * ways..(set + 1) * ways];
-        if let Some(l) = slice.iter_mut().find(|l| l.holds(tag)) {
-            l.stamp = stamp;
-            if dirty {
-                l.tag |= DIRTY;
-            }
-            true
-        } else {
-            false
+        let tags = &mut self.tags[set..set + ways];
+        let Some(w) = tags.iter().position(|&t| t & !DIRTY == key) else {
+            return false;
+        };
+        if dirty {
+            tags[w] |= DIRTY;
         }
+        promote(&mut self.ranks[set..set + ways], w);
+        true
     }
 
     /// Allocates a line, returning the evicted dirty address, if any.
     fn allocate(&mut self, addr: u64, dirty: bool) -> Option<u64> {
-        let (set, tag) = self.locate(addr);
-        self.stamp += 1;
-        let stamp = self.stamp;
+        let (set, key) = self.locate(addr);
         let ways = self.cfg.ways;
-
-        let slice = &mut self.lines[set * ways..(set + 1) * ways];
-        let victim = match slice.iter_mut().find(|l| !l.valid()) {
-            Some(v) => v,
-            None => slice.iter_mut().min_by_key(|l| l.stamp).expect("ways > 0"),
-        };
-        let wb = if victim.valid() && victim.dirty() {
-            Some(victim.line() << self.line_shift)
-        } else {
-            None
-        };
-        *victim = Line {
-            tag: if dirty { tag | DIRTY } else { tag },
-            stamp,
-        };
-        if wb.is_some() {
-            self.stats.writebacks += 1;
+        let ranks = &mut self.ranks[set..set + ways];
+        let lru = (ways - 1) as u8;
+        let w = ranks
+            .iter()
+            .position(|&r| r == lru)
+            .expect("a set's ranks are a permutation of its ways");
+        promote(ranks, w);
+        let old = std::mem::replace(
+            &mut self.tags[set + w],
+            if dirty { key | DIRTY } else { key },
+        );
+        if old & DIRTY == 0 {
+            return None;
         }
-        wb
-    }
-}
-
-/// A valid line on the wire, as `(tag, dirty, stamp)`: `valid` is
-/// implied by its position. Decoding rejects a stamp of 0 (an empty way
-/// listed as valid) and a tag that overlaps the dirty bit.
-impl State for Line {
-    const MIN_BYTES: usize = 8 + 1 + 8;
-
-    fn put(&self, out: &mut Vec<u8>) {
-        self.line().put(out);
-        self.dirty().put(out);
-        self.stamp.put(out);
-    }
-
-    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
-        let tag = take_u64(input, "llc line tag")?;
-        let dirty = take_bool(input, "llc line dirty flag")?;
-        let stamp = take_u64(input, "llc line stamp")?;
-        if tag & DIRTY != 0 {
-            return Err(format!("llc line tag {tag:#x} out of range"));
-        }
-        if stamp == 0 {
-            return Err("llc line listed with stamp 0".to_string());
-        }
-        *self = Line {
-            tag: if dirty { tag | DIRTY } else { tag },
-            stamp,
-        };
-        Ok(())
+        self.stats.writebacks += 1;
+        Some((old & !(DIRTY | VALID)) << self.line_shift)
     }
 }
 
@@ -330,46 +301,59 @@ impl_state!(LlcStats {
     writebacks
 });
 
-/// Encoded size of a non-empty set with one line: index, count, line.
-const MIN_SET_BYTES: usize = 4 + 8 + <Line as State>::MIN_BYTES;
+/// Encoded size of one valid way: line number, dirty flag, rank.
+const WAY_BYTES: usize = 8 + 1 + 1;
+
+/// Encoded size of a non-empty set with one line: index, count, way.
+const MIN_SET_BYTES: usize = 4 + 8 + WAY_BYTES;
 
 /// The cache's complete mutable state (checkpoint support). Geometry is
 /// not serialized — it is reconstructed from the config.
 ///
-/// Lines never become invalid and `allocate` takes the first
-/// invalid way, so each set's valid lines are a prefix of its ways. Only
-/// non-empty sets are written, in ascending order, each as its `u32`
-/// index, its valid-way count and those ways' lines; every other line
-/// decodes to `Line::default()`, exactly what it was.
+/// Lines never become invalid and allocation takes the first empty way,
+/// so each set's valid lines are a prefix of its ways, ranked `0..n`.
+/// Only non-empty sets are written, in ascending order, each as its
+/// `u32` index, its valid-way count `n` and those ways' `(line number,
+/// dirty, rank)`. Every other way decodes to what it was: tag 0, and
+/// empty way `i` ranked `ways - 1 - i + n`. Decoding rejects a line
+/// number that overlaps the flag bits and ranks that are not a
+/// permutation of `0..n`.
 impl State for Llc {
     fn put(&self, out: &mut Vec<u8>) {
         let ways = self.cfg.ways;
-        put_usize(out, self.lines.len());
-        let sets = self.lines.chunks_exact(ways);
-        put_usize(out, sets.clone().filter(|s| s[0].valid()).count());
-        for (index, set) in sets.enumerate() {
-            let n = set.iter().take_while(|l| l.valid()).count();
-            debug_assert!(!set[n..].iter().any(Line::valid));
+        put_usize(out, self.tags.len());
+        let sets = self
+            .tags
+            .chunks_exact(ways)
+            .zip(self.ranks.chunks_exact(ways));
+        put_usize(out, sets.clone().filter(|(t, _)| t[0] != 0).count());
+        for (index, (tags, ranks)) in sets.enumerate() {
+            let n = tags.iter().take_while(|&&t| t != 0).count();
+            debug_assert!(tags[n..].iter().all(|&t| t == 0));
             if n > 0 {
                 put_u32(out, u32::try_from(index).expect("set index fits u32"));
                 put_usize(out, n);
-                set[..n].iter().for_each(|l| l.put(out));
+                for (&tag, &rank) in tags[..n].iter().zip(ranks) {
+                    put_u64(out, tag & !(DIRTY | VALID));
+                    put_bool(out, tag & DIRTY != 0);
+                    put_u8(out, rank);
+                }
             }
         }
-        self.stamp.put(out);
         self.stats.put(out);
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
         let n = take_usize(input, "llc lines")?;
-        if n != self.lines.len() {
+        if n != self.tags.len() {
             return Err(format!(
                 "llc geometry mismatch: checkpoint has {n} lines, cache has {}",
-                self.lines.len()
+                self.tags.len()
             ));
         }
-        self.lines.fill(Line::default());
         let ways = self.cfg.ways;
+        self.tags.fill(0);
+        self.ranks.chunks_exact_mut(ways).for_each(empty_ranks);
         let mut next = 0;
         for _ in 0..take_len(input, MIN_SET_BYTES, "llc sets")? {
             let index = take_u32(input, "llc set index")? as usize;
@@ -377,15 +361,29 @@ impl State for Llc {
                 return Err(format!("llc set index {index} out of order or range"));
             }
             next = index + 1;
-            let n = take_len(input, Line::MIN_BYTES, "llc set lines")?;
+            let n = take_len(input, WAY_BYTES, "llc set lines")?;
             if n == 0 || n > ways {
                 return Err(format!("llc set {index} has {n} lines of {ways} ways"));
             }
-            for line in &mut self.lines[index * ways..index * ways + n] {
-                line.load(input)?;
+            let set = index * ways;
+            let mut seen = [false; 256];
+            for w in set..set + n {
+                let line = take_u64(input, "llc line tag")?;
+                let dirty = take_bool(input, "llc line dirty flag")?;
+                let rank = take_u8(input, "llc line rank")?;
+                if line & (DIRTY | VALID) != 0 {
+                    return Err(format!("llc line tag {line:#x} out of range"));
+                }
+                if usize::from(rank) >= n || std::mem::replace(&mut seen[usize::from(rank)], true) {
+                    return Err(format!("llc set {index} ranks are not a permutation"));
+                }
+                self.tags[w] = line | VALID | if dirty { DIRTY } else { 0 };
+                self.ranks[w] = rank;
+            }
+            for (i, r) in self.ranks[set + n..set + ways].iter_mut().enumerate() {
+                *r = (ways - 1 - i) as u8;
             }
         }
-        self.stamp.load(input)?;
         self.stats.load(input)
     }
 }
@@ -524,7 +522,7 @@ mod tests {
                 let mut src = Llc::new(cfg);
                 churn(&mut src, ops, 1);
                 if ops > lines {
-                    assert!(src.lines.iter().all(Line::valid));
+                    assert!(src.tags.iter().all(|&t| t != 0));
                     assert!(src.stats().writebacks > 0);
                 }
                 let bytes = encode(&src);
@@ -547,23 +545,24 @@ mod tests {
     #[test]
     fn state_size_follows_valid_lines() {
         let mut c = Llc::new(LlcConfig::paper_4mb());
-        let lines = c.lines.len() as u64;
-        // Line count, set count, stamp and stats, then one set: index,
-        // count and a 17-byte line.
-        assert_eq!(encode(&c).len(), 8 + 8 + 8 + 48);
+        let lines = c.tags.len() as u64;
+        // Line count, set count and stats, then one set: index, count
+        // and a 10-byte way.
+        assert_eq!(encode(&c).len(), 8 + 8 + 48);
         c.fill(0x40);
-        assert_eq!(encode(&c).len(), 8 + 8 + (4 + 8 + 17) + 8 + 48);
+        assert_eq!(encode(&c).len(), 8 + 8 + (4 + 8 + 10) + 48);
         // Full, with evictions: no larger than the dense layout.
         for i in 0..lines + 100 {
             c.write(i * 64);
         }
-        assert!(c.lines.iter().all(Line::valid));
-        assert!(encode(&c).len() <= 8 + 18 * lines as usize + 8 + 48);
+        assert!(c.tags.iter().all(|&t| t != 0));
+        assert!(encode(&c).len() <= 8 + 8 + 11 * lines as usize + 48);
     }
 
     #[test]
     fn corrupt_set_framing_is_rejected() {
-        // `small()`: 64 sets of 2 ways.
+        // `small()`: 64 sets of 2 ways. Way `w` of a listed set holds
+        // line `w`, ranked `w`.
         let payload = |sets: &[(u32, usize)]| {
             let mut out = Vec::new();
             put_usize(&mut out, 128);
@@ -571,15 +570,12 @@ mod tests {
             for &(index, n) in sets {
                 put_u32(&mut out, index);
                 put_usize(&mut out, n);
-                for tag in 0..n as u64 {
-                    Line {
-                        tag,
-                        stamp: tag + 1,
-                    }
-                    .put(&mut out);
+                for w in 0..n as u8 {
+                    put_u64(&mut out, u64::from(w));
+                    put_bool(&mut out, false);
+                    put_u8(&mut out, w);
                 }
             }
-            5u64.put(&mut out);
             LlcStats::default().put(&mut out);
             out
         };
@@ -594,15 +590,20 @@ mod tests {
         ] {
             assert!(load(payload(sets)).is_err(), "{why} decoded");
         }
-        // A listed line must be valid (stamp ≠ 0) and its tag must leave
-        // the dirty bit free.
-        let mut zero_stamp = payload(&[(3, 1)]);
-        zero_stamp[8 + 8 + 4 + 8 + 9..][..8].fill(0);
-        let err = load(zero_stamp).unwrap_err();
-        assert!(err.contains("stamp 0"), "{err}");
-        let mut wide_tag = payload(&[(3, 1)]);
-        wide_tag[8 + 8 + 4 + 8 + 7] = 0x80;
-        assert!(load(wide_tag).unwrap_err().contains("out of range"));
+        // A set's ranks must be a permutation of its valid ways, and a
+        // tag must leave both flag bits free.
+        const WAY: usize = 8 + 8 + 4 + 8;
+        for (rank, why) in [(2, "rank past the valid ways"), (0, "rank repeated")] {
+            let mut bad = payload(&[(3, 2)]);
+            bad[WAY + 10 + 9] = rank;
+            let err = load(bad).unwrap_err();
+            assert!(err.contains("not a permutation"), "{why}: {err}");
+        }
+        for flag in [0x80, 0x40] {
+            let mut wide_tag = payload(&[(3, 1)]);
+            wide_tag[WAY + 7] = flag;
+            assert!(load(wide_tag).unwrap_err().contains("out of range"));
+        }
         // The geometry check stays.
         let err = Llc::new(LlcConfig::paper_4mb())
             .load(&mut payload(&[]).as_slice())
@@ -611,22 +612,185 @@ mod tests {
     }
 
     #[test]
-    fn line_is_sixteen_bytes_and_keeps_dirty_in_the_tag() {
-        assert_eq!(std::mem::size_of::<Line>(), 16);
+    fn ways_take_nine_bytes_and_keep_dirty_in_the_tag() {
+        let paper = Llc::new(LlcConfig::paper_4mb());
+        assert_eq!(paper.tags.len() * 8 + paper.ranks.len(), 576 << 10);
         let mut c = small();
         c.write(0x1000);
         c.fill(0x2000);
-        let (set, tag) = c.locate(0x1000);
-        let line = c.set_lines(set).iter().find(|l| l.holds(tag)).unwrap();
-        assert!(line.dirty() && line.line() == tag);
-        let (set, tag) = c.locate(0x2000);
-        let line = c.set_lines(set).iter().find(|l| l.holds(tag)).unwrap();
-        assert!(!line.dirty() && line.line() == tag);
-        let one_byte = LlcConfig {
-            line_bytes: 1,
+        for (addr, dirty) in [(0x1000, true), (0x2000, false)] {
+            let (set, key) = c.locate(addr);
+            let tag = c.tags[set..set + 2]
+                .iter()
+                .find(|&&t| t & !DIRTY == key)
+                .unwrap();
+            assert_eq!(tag & DIRTY != 0, dirty);
+        }
+        for (cfg, err) in [
+            (
+                LlcConfig {
+                    line_bytes: 2,
+                    ..*c.config()
+                },
+                "at least 4",
+            ),
+            (
+                LlcConfig {
+                    ways: 512,
+                    capacity_bytes: 512 * 64,
+                    ..*c.config()
+                },
+                "at most 256",
+            ),
+        ] {
+            assert!(cfg.validate().unwrap_err().contains(err), "{cfg:?}");
+        }
+        let widest = LlcConfig {
+            ways: 256,
+            capacity_bytes: 4 * 256 * 64,
             ..*c.config()
         };
-        assert!(one_byte.validate().unwrap_err().contains("at least 2"));
+        widest.validate().unwrap();
+    }
+
+    /// The LLC as it was before recency ranks: every way carries the
+    /// 64-bit stamp of its last touch from a global counter (0 marks an
+    /// empty way); the victim is the first empty way, else the way with
+    /// the smallest stamp.
+    struct StampLru {
+        ways: usize,
+        sets: u64,
+        /// `(line, dirty, stamp)` per way.
+        lines: Vec<(u64, bool, u64)>,
+        stamp: u64,
+        stats: LlcStats,
+    }
+
+    impl StampLru {
+        fn new(cfg: LlcConfig) -> Self {
+            Self {
+                ways: cfg.ways,
+                sets: cfg.sets() as u64,
+                lines: vec![(0, false, 0); cfg.sets() * cfg.ways],
+                stamp: 0,
+                stats: LlcStats::default(),
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut [(u64, bool, u64)] {
+            let set = (line % self.sets) as usize;
+            &mut self.lines[set * self.ways..(set + 1) * self.ways]
+        }
+
+        fn touch(&mut self, line: u64, dirty: bool) -> bool {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            match self.set(line).iter_mut().find(|l| l.2 != 0 && l.0 == line) {
+                Some(l) => {
+                    l.2 = stamp;
+                    l.1 |= dirty;
+                    true
+                }
+                None => false,
+            }
+        }
+
+        fn allocate(&mut self, line: u64, dirty: bool) -> Option<u64> {
+            self.stamp += 1;
+            let stamp = self.stamp;
+            let set = self.set(line);
+            let victim = match set.iter().position(|l| l.2 == 0) {
+                Some(w) => w,
+                None => (0..set.len()).min_by_key(|&w| set[w].2).unwrap(),
+            };
+            let old = std::mem::replace(&mut set[victim], (line, dirty, stamp));
+            let wb = (old.2 != 0 && old.1).then_some(old.0 * 64);
+            self.stats.writebacks += u64::from(wb.is_some());
+            wb
+        }
+
+        fn probe(&mut self, line: u64) -> bool {
+            self.set(line).iter().any(|l| l.2 != 0 && l.0 == line)
+        }
+
+        fn read(&mut self, line: u64) -> LlcOutcome {
+            self.stats.read_accesses += 1;
+            if self.touch(line, false) {
+                self.stats.read_hits += 1;
+                return LlcOutcome::Hit;
+            }
+            LlcOutcome::Miss { writeback: None }
+        }
+
+        fn write(&mut self, line: u64) -> LlcOutcome {
+            self.stats.write_accesses += 1;
+            if self.touch(line, true) {
+                self.stats.write_hits += 1;
+                return LlcOutcome::Hit;
+            }
+            LlcOutcome::Miss {
+                writeback: self.allocate(line, true),
+            }
+        }
+
+        fn fill(&mut self, line: u64) -> Option<u64> {
+            self.stats.fills += 1;
+            if self.probe(line) {
+                return None;
+            }
+            self.allocate(line, false)
+        }
+    }
+
+    /// What one operation of a random stream returned.
+    #[derive(Debug, PartialEq)]
+    enum Op {
+        Access(LlcOutcome),
+        Fill(Option<u64>),
+        Probe(bool),
+    }
+
+    #[test]
+    fn recency_ranks_replace_exactly_like_stamps() {
+        for ways in [1, 2, 4, 16] {
+            let cfg = LlcConfig {
+                capacity_bytes: 8 * ways as u64 * 64,
+                ways,
+                line_bytes: 64,
+                hit_latency: 20,
+            };
+            let mut x = 0x5eed ^ ways as u64;
+            let mut next = |n: u64| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (x >> 33) % n
+            };
+            let mut llc = Llc::new(cfg);
+            let mut stamps = StampLru::new(cfg);
+            let lines = 3 * 8 * ways as u64;
+            for i in 0..20_000 {
+                if i == 7_000 {
+                    // A checkpoint round trip into a cache holding
+                    // other lines, mid-stream.
+                    let mut restored = Llc::new(cfg);
+                    churn(&mut restored, 100, 3);
+                    restored.load(&mut encode(&llc).as_slice()).unwrap();
+                    llc = restored;
+                }
+                let line = next(lines);
+                let addr = line * 64 + next(64);
+                let (got, want) = match next(4) {
+                    0 => (Op::Access(llc.read(addr)), Op::Access(stamps.read(line))),
+                    1 => (Op::Access(llc.write(addr)), Op::Access(stamps.write(line))),
+                    2 => (Op::Fill(llc.fill(addr)), Op::Fill(stamps.fill(line))),
+                    _ => (Op::Probe(llc.probe(addr)), Op::Probe(stamps.probe(line))),
+                };
+                assert_eq!(got, want, "{ways} ways, operation {i}");
+            }
+            assert_eq!(llc.stats(), &stamps.stats, "{ways} ways");
+            assert!(stamps.stats.writebacks > 0);
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@ pub mod command;
 pub mod config;
 pub mod error;
 pub mod family;
+pub mod meter;
 pub mod rank;
 pub mod refresh;
 pub mod spec;
@@ -70,6 +71,7 @@ pub use error::IssueError;
 pub use family::{
     FamilyError, FamilyParams, FamilySpec, FamilyValue, RefreshGranularity, FAMILY_KEYS,
 };
+pub use meter::{EnergyMeter, RankActivity};
 pub use rank::Rank;
 pub use spec::{is_token, Spec, SpecValue, TimingSpec, TimingValue, TIMING_KEYS};
 pub use stats::DeviceStats;
@@ -158,7 +160,7 @@ impl PartialEq<Vec<ClosedRow>> for ClosedRows {
     }
 }
 
-/// A timestamped command, recorded for energy accounting and debugging.
+/// A timestamped command, as the opt-in command log records it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CommandRecord {
     /// Issue cycle.
@@ -179,6 +181,7 @@ pub struct DramDevice {
     cfg: DramConfig,
     channels: Vec<Channel>,
     stats: DeviceStats,
+    meter: EnergyMeter,
     log: Option<Vec<CommandRecord>>,
 }
 
@@ -187,6 +190,7 @@ impl DramDevice {
     pub fn new(cfg: DramConfig) -> Self {
         let channels = (0..cfg.org.channels).map(|_| Channel::new(&cfg)).collect();
         Self {
+            meter: EnergyMeter::new(&cfg.org),
             cfg,
             channels,
             stats: DeviceStats::default(),
@@ -194,9 +198,16 @@ impl DramDevice {
         }
     }
 
-    /// Enables command logging (for energy accounting).
+    /// Enables the command log: every command issued from now on is
+    /// also kept as a [`CommandRecord`]. The log grows with the run;
+    /// energy accounting needs only the [`Self::meter`].
     pub fn enable_log(&mut self) {
         self.log = Some(Vec::new());
+    }
+
+    /// Disables the command log and drops what it holds.
+    pub fn disable_log(&mut self) {
+        self.log = None;
     }
 
     /// Takes the accumulated command log, leaving logging enabled.
@@ -215,6 +226,17 @@ impl DramDevice {
     /// Aggregate command statistics.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
+    }
+
+    /// The energy meter: every command issued since the last
+    /// [`Self::reset_meter`].
+    pub fn meter(&self) -> &EnergyMeter {
+        &self.meter
+    }
+
+    /// Empties the energy meter (the warmup boundary of a measured run).
+    pub fn reset_meter(&mut self) {
+        self.meter.reset();
     }
 
     /// The open row in a bank, if any.
@@ -267,6 +289,8 @@ impl DramDevice {
             Err(e) => panic!("illegal command {cmd:?} at {now}: {e}"),
         }
         self.stats.record(cmd.kind());
+        self.meter
+            .record(now, cmd.kind(), cmd.channel(), cmd.rank());
         if let Some(log) = &mut self.log {
             log.push(CommandRecord {
                 at: now,
@@ -324,21 +348,15 @@ impl_state!(DeviceStats {
     refs
 });
 
-impl_state!(CommandRecord {
-    at,
-    kind,
-    channel,
-    rank
-});
-
 /// The device's complete mutable state — bank/rank/channel timing
-/// registers, refresh calendars, statistics and the command log — for
-/// checkpoint support.
+/// registers, refresh calendars, statistics and the energy meter — for
+/// checkpoint support. The opt-in command log is not part of it: a
+/// restored device keeps its own log.
 impl State for DramDevice {
     fn put(&self, out: &mut Vec<u8>) {
         put_slice(out, &self.channels);
         self.stats.put(out);
-        self.log.put(out);
+        self.meter.put(out);
     }
 
     fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
@@ -346,7 +364,7 @@ impl State for DramDevice {
             format!("channel count mismatch: checkpoint has {n}, device has {have}")
         })?;
         self.stats.load(input)?;
-        self.log.load(input)
+        self.meter.load(input)
     }
 }
 
@@ -450,5 +468,23 @@ mod tests {
         let log = dev.take_log();
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].kind, CommandKind::Act);
+        dev.disable_log();
+        dev.issue(&Command::pre(loc), 100, cfg.timing.act_timings());
+        assert!(dev.take_log().is_empty());
+    }
+
+    #[test]
+    fn meter_counts_every_command_until_reset() {
+        let (mut dev, cfg, loc) = setup();
+        dev.issue(&Command::act(loc, 1), 0, cfg.timing.act_timings());
+        dev.issue(&Command::pre(loc), 100, cfg.timing.act_timings());
+        let m = dev.meter();
+        assert_eq!(
+            (m.count(CommandKind::Act), m.count(CommandKind::Pre)),
+            (1, 1)
+        );
+        assert_eq!(m.ranks()[0].active_cycles, 100);
+        dev.reset_meter();
+        assert_eq!(dev.meter(), &EnergyMeter::new(&cfg.org));
     }
 }

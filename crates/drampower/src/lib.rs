@@ -5,8 +5,9 @@
 //! charge packets for activate/precharge pairs, read/write bursts and
 //! refreshes, plus background power integrated over the reconstructed
 //! bank-state timeline (active-standby `IDD3N` while any bank is open,
-//! precharged-standby `IDD2N` otherwise). Inputs are the command log the
-//! [`dram::DramDevice`] records and the run length.
+//! precharged-standby `IDD2N` otherwise). Inputs are the
+//! [`dram::DramDevice`]'s energy meter (or a command log, folded into
+//! one) and the run length.
 //!
 //! The first-order effect the paper's Figure 8 reports flows through this
 //! model directly: a mechanism that shortens execution time shrinks the
@@ -25,7 +26,7 @@
 //! assert_eq!(energy.activate_pj, 0.0);
 //! ```
 
-use dram::{CommandKind, CommandRecord, DramConfig};
+use dram::{CommandKind, CommandRecord, DramConfig, EnergyMeter};
 
 /// Datasheet current parameters, in milliamps per device, plus geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,17 +123,37 @@ impl EnergyModel {
     }
 
     /// Computes the energy of a run of `total_cycles` bus cycles whose
-    /// command log is `log` (as recorded by [`dram::DramDevice`]).
-    ///
-    /// Auto-precharging reads/writes are accounted as closing their bank
-    /// at issue time — a sub-`tRTP` approximation that affects only the
-    /// standby-state split.
+    /// command log is `log` (as [`dram::DramDevice`] records it when its
+    /// log is enabled): the records are folded into an
+    /// [`EnergyMeter`] and priced by [`Self::price`], so a log and the
+    /// device's own meter of the same commands price identically.
     ///
     /// # Panics
     ///
     /// Panics if a record names a channel or rank outside the
     /// configuration's organization.
     pub fn energy(&self, log: &[CommandRecord], total_cycles: u64) -> EnergyBreakdown {
+        let mut meter = EnergyMeter::new(&self.cfg.org);
+        for rec in log {
+            meter.record(rec.at, rec.kind, rec.channel, rec.rank);
+        }
+        self.price(&meter, total_cycles)
+    }
+
+    /// Prices the commands `meter` folded over a run of `total_cycles`
+    /// bus cycles.
+    ///
+    /// Auto-precharging reads/writes are accounted as closing their bank
+    /// at issue time — a sub-`tRTP` approximation that affects only the
+    /// standby-state split. Each rank's occupancy is measured from cycle
+    /// 0 of the meter's time base, which is the device's, not the run's:
+    /// a meter reset at a warmup boundary holds absolute issue cycles
+    /// while `total_cycles` counts from the boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the meter was built for another organization.
+    pub fn price(&self, meter: &EnergyMeter, total_cycles: u64) -> EnergyBreakdown {
         let t = &self.cfg.timing;
         let tck = t.tck_ns;
         let scale = self.idd.vdd * f64::from(self.idd.devices_per_rank);
@@ -147,47 +168,31 @@ impl EnergyModel {
         let e_rd = (self.idd.idd4r_ma - self.idd.idd3n_ma) * f64::from(t.tbl) * tck * scale;
         let e_wr = (self.idd.idd4w_ma - self.idd.idd3n_ma) * f64::from(t.tbl) * tck * scale;
         // Per-bank refresh (REFpb) burns IDD5B for only tRFCpb and covers
-        // one bank: charge each REF record its actual lockout window.
+        // one bank: charge each REF its actual lockout window.
         let ref_lockout = match self.cfg.refresh {
             dram::family::RefreshGranularity::AllBank => t.trfc,
             dram::family::RefreshGranularity::PerBank => t.trfcpb,
         };
         let e_ref = (self.idd.idd5b_ma - self.idd.idd2n_ma) * f64::from(ref_lockout) * tck * scale;
 
-        // Background: reconstruct per-rank open-bank occupancy over time.
-        // Ranks are identified by (channel, rank) pairs; idle ranks
+        // Background: per-rank cycles with ≥1 open bank; idle ranks
         // contribute IDD2N for the whole run.
-        let per_channel = usize::from(self.cfg.org.ranks);
-        let ranks = usize::from(self.cfg.org.channels) * per_channel;
-        // Per rank: (last_event_cycle, open_banks, active_cycles_accumulated).
-        let mut open = vec![(0u64, 0i32, 0u64); ranks];
-        for rec in log {
-            assert!(
-                rec.rank < self.cfg.org.ranks && rec.channel < self.cfg.org.channels,
-                "command record for channel {} rank {} outside the organization",
-                rec.channel,
-                rec.rank
-            );
-            let entry = &mut open[usize::from(rec.channel) * per_channel + usize::from(rec.rank)];
-            let (last, banks, acc) = *entry;
-            let add = if banks > 0 { rec.at - last } else { 0 };
-            let banks = match rec.kind {
-                CommandKind::Act => banks + 1,
-                CommandKind::Pre | CommandKind::RdA | CommandKind::WrA => (banks - 1).max(0),
-                CommandKind::PreAll => 0,
-                _ => banks,
-            };
-            *entry = (rec.at, banks, acc + add);
-        }
-        // Σ per-rank cycles with ≥1 open bank.
-        let active_cycles: u64 = open
+        let ranks = usize::from(self.cfg.org.channels) * usize::from(self.cfg.org.ranks);
+        assert_eq!(
+            meter.ranks().len(),
+            ranks,
+            "energy meter built for another organization"
+        );
+        let active_cycles: u64 = meter
+            .ranks()
             .iter()
-            .map(|&(last, banks, acc)| {
-                acc + if banks > 0 {
-                    total_cycles.saturating_sub(last)
-                } else {
-                    0
-                }
+            .map(|r| {
+                r.active_cycles
+                    + if r.open_banks > 0 {
+                        total_cycles.saturating_sub(r.last)
+                    } else {
+                        0
+                    }
             })
             .sum();
         let total_rank_cycles = ranks as u64 * total_cycles;
@@ -197,15 +202,23 @@ impl EnergyModel {
             * tck
             * scale;
 
-        for rec in log {
-            match rec.kind {
-                CommandKind::Act => out.activate_pj += e_actpre,
-                CommandKind::Rd | CommandKind::RdA => out.read_pj += e_rd,
-                CommandKind::Wr | CommandKind::WrA => out.write_pj += e_wr,
-                CommandKind::Ref => out.refresh_pj += e_ref,
-                CommandKind::Pre | CommandKind::PreAll => {}
+        // One packet added per command, not `count × packet`: the sums
+        // round exactly as a per-record pass over the log does.
+        let add = |sum: &mut f64, packet: f64, kinds: &[CommandKind]| {
+            for &kind in kinds {
+                for _ in 0..meter.count(kind) {
+                    *sum += packet;
+                }
             }
-        }
+        };
+        add(&mut out.activate_pj, e_actpre, &[CommandKind::Act]);
+        add(&mut out.read_pj, e_rd, &[CommandKind::Rd, CommandKind::RdA]);
+        add(
+            &mut out.write_pj,
+            e_wr,
+            &[CommandKind::Wr, CommandKind::WrA],
+        );
+        add(&mut out.refresh_pj, e_ref, &[CommandKind::Ref]);
         out
     }
 }
@@ -355,6 +368,142 @@ mod tests {
                 assert_eq!(e.background_pj, background, "{len} records, {total} cycles");
             }
         }
+    }
+
+    /// The pricing as it was before the meter: one pass over the log
+    /// for occupancy, a second adding one packet per record.
+    fn per_record_energy(m: &EnergyModel, log: &[CommandRecord], total: u64) -> EnergyBreakdown {
+        let t = &m.cfg.timing;
+        let scale = m.idd.vdd * f64::from(m.idd.devices_per_rank);
+        let e_actpre = (m.idd.idd0_ma * f64::from(t.trc)
+            - (m.idd.idd3n_ma * f64::from(t.tras) + m.idd.idd2n_ma * f64::from(t.trp)))
+            * t.tck_ns
+            * scale;
+        let e_rd = (m.idd.idd4r_ma - m.idd.idd3n_ma) * f64::from(t.tbl) * t.tck_ns * scale;
+        let e_wr = (m.idd.idd4w_ma - m.idd.idd3n_ma) * f64::from(t.tbl) * t.tck_ns * scale;
+        let e_ref = (m.idd.idd5b_ma - m.idd.idd2n_ma) * f64::from(t.trfc) * t.tck_ns * scale;
+        let ranks = u64::from(m.cfg.org.channels) * u64::from(m.cfg.org.ranks);
+        let active = map_fold_active_cycles(log, total);
+        let mut out = EnergyBreakdown {
+            background_pj: (m.idd.idd3n_ma * active as f64
+                + m.idd.idd2n_ma * (ranks * total).saturating_sub(active) as f64)
+                * t.tck_ns
+                * scale,
+            ..EnergyBreakdown::default()
+        };
+        for rec in log {
+            match rec.kind {
+                CommandKind::Act => out.activate_pj += e_actpre,
+                CommandKind::Rd | CommandKind::RdA => out.read_pj += e_rd,
+                CommandKind::Wr | CommandKind::WrA => out.write_pj += e_wr,
+                CommandKind::Ref => out.refresh_pj += e_ref,
+                CommandKind::Pre | CommandKind::PreAll => {}
+            }
+        }
+        out
+    }
+
+    fn bits(e: &EnergyBreakdown) -> [u64; 5] {
+        [
+            e.background_pj,
+            e.activate_pj,
+            e.read_pj,
+            e.write_pj,
+            e.refresh_pj,
+        ]
+        .map(f64::to_bits)
+    }
+
+    /// At the paper's 1.25 ns clock every packet is a whole number of
+    /// picojoules, so a sum is exact in any order; a 0.938 ns clock
+    /// gives packets whose sums round, which only an identical sequence
+    /// of additions reproduces.
+    #[test]
+    fn random_streams_price_bit_identically_through_log_and_meter() {
+        for tck_ns in [1.25, 0.938] {
+            let mut cfg = DramConfig::ddr3_1600_paper();
+            cfg.org.channels = 2;
+            cfg.org.ranks = 2;
+            cfg.timing.tck_ns = tck_ns;
+            price_random_streams(&cfg);
+        }
+    }
+
+    fn price_random_streams(cfg: &DramConfig) {
+        let m = EnergyModel::ddr3_4gb_x8(cfg.clone());
+        let kinds = [
+            CommandKind::Act,
+            CommandKind::Pre,
+            CommandKind::PreAll,
+            CommandKind::Rd,
+            CommandKind::RdA,
+            CommandKind::Wr,
+            CommandKind::WrA,
+            CommandKind::Ref,
+        ];
+        let mut x = 0xe4e7_u64;
+        let mut next = |n: u64| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) % n
+        };
+        for len in [0, 1, 9, 300, 20_000] {
+            let mut at = 0;
+            let stream: Vec<CommandRecord> = (0..len)
+                .map(|_| {
+                    at += next(30);
+                    CommandRecord {
+                        at,
+                        kind: kinds[next(8) as usize],
+                        channel: next(2) as u8,
+                        rank: next(2) as u8,
+                    }
+                })
+                .collect();
+            // The meter sees the whole stream and is reset part-way, as
+            // at a warmup boundary; the log holds what follows the reset.
+            let reset_at = len / 3;
+            let mut meter = EnergyMeter::new(&cfg.org);
+            for (i, rec) in stream.iter().enumerate() {
+                if i == reset_at {
+                    meter.reset();
+                }
+                meter.record(rec.at, rec.kind, rec.channel, rec.rank);
+            }
+            let log = &stream[reset_at.min(stream.len())..];
+            for total in [at / 2, at, at + 777] {
+                let want = bits(&per_record_energy(&m, log, total));
+                assert_eq!(bits(&m.energy(log, total)), want, "{len} records, log");
+                assert_eq!(bits(&m.price(&meter, total)), want, "{len} records, meter");
+            }
+        }
+    }
+
+    /// The occupancy time base is the meter's, not the window's: an ACT
+    /// left open 1,000 cycles into a 10,000-cycle window bills 9,000
+    /// active cycles, but the same pattern behind a 50,000-cycle warmup
+    /// (meter reset at the boundary, absolute issue cycles) bills none,
+    /// because the rank's last command lies past the window's length.
+    #[test]
+    fn background_measures_occupancy_from_the_meters_cycle_zero() {
+        let m = model();
+        let cfg = DramConfig::ddr3_1600_paper();
+        let mut meter = EnergyMeter::new(&cfg.org);
+        meter.record(1_000, CommandKind::Act, 0, 0);
+        assert_eq!(m.price(&meter, 10_000).background_pj, 5.61e6);
+        meter.record(40_000, CommandKind::Pre, 0, 0);
+        meter.reset();
+        meter.record(51_000, CommandKind::Act, 0, 0);
+        assert_eq!(m.price(&meter, 10_000).background_pj, 4.80e6);
+        assert_eq!(m.energy(&[], 10_000).background_pj, 4.80e6);
+    }
+
+    #[test]
+    #[should_panic(expected = "another organization")]
+    fn a_meter_of_another_organization_panics() {
+        let two = DramConfig::ddr3_1600_paper_2ch();
+        model().price(&EnergyMeter::new(&two.org), 100);
     }
 
     #[test]

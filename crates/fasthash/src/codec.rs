@@ -29,10 +29,11 @@
 //!   checkpoint scales with live state, not with the configuration:
 //!   - *LLC lines* (`cpu::Llc`): the line count (a geometry check), the
 //!     count of non-empty sets, then each non-empty set in ascending
-//!     order as a `u32` set index, its valid-way count and those ways'
-//!     `(tag, dirty, stamp)`. Lines never become invalid and allocation
-//!     takes the first invalid way, so a set's valid lines are a prefix
-//!     of its ways and every line not written is `Line::default()`.
+//!     order as a `u32` set index, its valid-way count `n` and those
+//!     ways' `(line number, dirty, recency rank)`. Lines never become
+//!     invalid and allocation takes the first invalid way, so a set's
+//!     valid lines are a prefix of its ways, ranked `0..n`; every way
+//!     not written is empty, with the rank its position implies.
 //!   - *Refresh bins* (`dram::RefreshState`): the visit position, due
 //!     time and REF count, then `min(issued, bins)` and those bins'
 //!     times in visit order. Only a REF writes a bin's time, in visit
@@ -40,8 +41,9 @@
 //!     constructor age, which the decoder recomputes.
 //!
 //!   Decoders overwrite every entry of the receiver and reject an index
-//!   out of range or order, an empty or over-full set, and a count or
-//!   position that disagrees with the REF count.
+//!   out of range or order, an empty or over-full set, a set's ranks
+//!   that are not a permutation of `0..n`, and a count or position that
+//!   disagrees with the REF count.
 //! * **Fixed containers.** Arrays (`[T; N]`) carry no prefix.
 //! * **Hash maps** are written as a prefixed sequence of `(key, value)`
 //!   pairs sorted by key ([`put_sorted_map`], [`load_map`]), so equal

@@ -15,7 +15,7 @@
 //!
 //! One file per in-progress cell, named `{content_key:032x}.ckpt` in the
 //! run-cache directory — a sibling of the `.run` entries in the same
-//! envelope ([`crate::cache`], magic `CCCKP\0v2`, version
+//! envelope ([`crate::cache`], magic `CCCKP\0v3`, version
 //! [`CKPT_VERSION`]): atomic temp-file + rename stores,
 //! quarantine-on-corrupt (`<name>.ckpt.corrupt`), and version mismatches
 //! treated as clean misses. The run cache's `gc` only matches `.run` names, so
@@ -26,7 +26,10 @@
 //! absolute phase deadline), the warmup-boundary snapshot when the
 //! measured phase has begun, and the complete deterministic system state
 //! ([`System::save_state`]), all in the [`fasthash::codec`] wire format,
-//! so identical runs produce identical checkpoint bytes.
+//! so identical runs produce identical checkpoint bytes. The payload's
+//! size follows the simulated state, not the run's length: version 3
+//! replaced the DRAM device's command log with its fixed-size energy
+//! meter and the LLC's 64-bit LRU stamps with one-byte recency ranks.
 //!
 //! # Kill-anywhere guarantee
 //!
@@ -57,12 +60,12 @@ use crate::system::{Snapshot, System};
 /// layout changes — including any `save_state` in the crates below this
 /// one — so stale checkpoints miss cleanly and the cell restarts from
 /// zero instead of misdecoding.
-pub const CKPT_VERSION: u32 = 2;
+pub const CKPT_VERSION: u32 = 3;
 
 /// The `.ckpt` envelope (its magic's version byte rides along, as in the
 /// run cache).
 const CKPT: Envelope = Envelope {
-    magic: *b"CCCKP\0v2",
+    magic: *b"CCCKP\0v3",
     version: CKPT_VERSION,
     ext: "ckpt",
     tmp_ext: "ckpt-tmp",
@@ -244,7 +247,7 @@ pub(crate) fn run_checkpointed(
                 // without a version bump): quarantine it and restart
                 // from zero on a clean system.
                 store.quarantine(&store.path_for(key));
-                run.sys = build_system(cfg, apps, p)?;
+                run = CellRun::new(build_system(cfg, apps, p)?, p, p.checkpoint_interval.max(1));
             }
         }
     }

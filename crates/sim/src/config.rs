@@ -93,9 +93,12 @@ pub struct SystemConfig {
     pub family: FamilySpec,
     /// Main-loop engine (cycle-skipping by default).
     pub engine: Engine,
-    /// Record the per-command DRAM log for energy accounting. Costs an
-    /// unbounded `Vec` over the measured interval; disable for throughput
-    /// benchmarking or very long runs where energy is not reported.
+    /// Report the measured commands' DRAM energy, priced from the
+    /// device's fixed-size energy meter. When off, the result's energy
+    /// is that of an idle device over the run. [`crate::System::try_new`]
+    /// also enables the device's command log under this flag, for
+    /// callers that take the log themselves; the cell drivers switch
+    /// the log off.
     pub measure_energy: bool,
 }
 

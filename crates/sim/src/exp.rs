@@ -159,7 +159,10 @@ pub(crate) struct CellRun {
 
 impl CellRun {
     /// A run of `sys` from cycle 0 in chunks of `step` instructions.
-    pub(crate) fn new(sys: System, p: &ExpParams, step: u64) -> Self {
+    /// The result prices the device's energy meter, so the command log
+    /// [`System::try_new`] enables is switched off.
+    pub(crate) fn new(mut sys: System, p: &ExpParams, step: u64) -> Self {
+        sys.memory_mut().device_mut().disable_log();
         Self {
             sys,
             pos: Position {
@@ -197,9 +200,9 @@ impl CellRun {
         if self.pos.phase == 1 {
             return Chunk::Done(!reached);
         }
-        // Warmup boundary: discard the warmup energy log and take the
+        // Warmup boundary: empty the energy meter and take the
         // measurement snapshot.
-        self.sys.memory_mut().device_mut().take_log();
+        self.sys.memory_mut().device_mut().reset_meter();
         self.pos = Position {
             phase: 1,
             target: self.warmup.saturating_add(self.step).min(self.end),

@@ -596,9 +596,12 @@ impl System {
         ctrl.subtract(&warm.ctrl);
         let mut mech = self.mem.mech_report();
         mech.subtract(&warm.mech);
-        let log = self.mem.device_mut().take_log();
-        let energy = drampower::EnergyModel::ddr3_4gb_x8(self.cfg.dram.clone())
-            .energy(&log, bus_cycles.max(1));
+        let model = drampower::EnergyModel::ddr3_4gb_x8(self.cfg.dram.clone());
+        let energy = if self.cfg.measure_energy {
+            model.price(self.mem.device().meter(), bus_cycles.max(1))
+        } else {
+            model.energy(&[], bus_cycles.max(1))
+        };
         RunResult {
             cores,
             cpu_cycles,

@@ -191,9 +191,12 @@ impl Out {
     }
 
     /// The writer thread: writes queued frames in order until the queue
-    /// is closed and empty. A write error means the client is gone: the
-    /// queue closes and its frames are discarded.
+    /// is closed and empty, each drained batch (frames and their
+    /// newlines) in one `write_all`, outside the lock. A write error
+    /// means the client is gone: the queue closes and its frames are
+    /// discarded.
     fn drain_to(&self, mut w: UnixStream) {
+        let mut batch = Vec::new();
         loop {
             let frames = {
                 let mut q = lock(&self.queue);
@@ -205,7 +208,12 @@ impl Out {
                 }
                 std::mem::take(&mut q.frames)
             };
-            if frames.iter().any(|f| writeln!(w, "{f}").is_err()) {
+            batch.clear();
+            for f in &frames {
+                batch.extend_from_slice(f.as_bytes());
+                batch.push(b'\n');
+            }
+            if w.write_all(&batch).is_err() {
                 let mut q = lock(&self.queue);
                 q.closed = true;
                 q.frames.clear();

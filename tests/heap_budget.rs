@@ -96,9 +96,13 @@ fn cell_heap(insts: u64) -> (usize, usize) {
     (allocs, peak)
 }
 
-/// 3.3 MiB: the LLC's 1 MiB of 16-byte lines, the reuse timeline and
-/// the HCRAC, with room for the command log and the per-row maps.
-const PEAK_BUDGET: usize = 33 * 1024 * 1024 / 10;
+/// 2 MiB: the measured 1.43 MiB peak (the LLC's 576 KiB of 9-byte ways,
+/// the reuse timeline, the HCRAC and the per-row maps) plus 40 %. The
+/// energy meter is fixed-size, so nothing here grows with run length.
+const PEAK_BUDGET: usize = 2 * 1024 * 1024;
+
+/// The measured 182 allocations of one cell, plus 150 %.
+const ALLOC_BUDGET: usize = 455;
 
 #[test]
 fn bench_scale_cell_heap_follows_live_state() {
@@ -106,7 +110,7 @@ fn bench_scale_cell_heap_follows_live_state() {
     let (allocs, peak) = cell_heap(120_000);
     let (allocs_long, _) = cell_heap(240_000);
     println!("mcf/chargecache: {allocs} allocations ({allocs_long} at 2x length), peak {peak} B");
-    assert!(allocs <= 500, "{allocs} allocations in one cell");
+    assert!(allocs <= ALLOC_BUDGET, "{allocs} allocations in one cell");
     assert!(
         allocs_long < allocs + 50,
         "allocations grow with run length: {allocs} -> {allocs_long}"
