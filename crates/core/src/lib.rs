@@ -91,6 +91,19 @@ impl RowKey {
         Self::new(loc.channel, loc.rank, loc.bank, row)
     }
 
+    /// The coordinates a key was built from: the inverse of
+    /// [`Self::from_loc`] on the keys it builds. Bits above the channel
+    /// are ignored, so a key decoded from bytes must be rebuilt and
+    /// compared to show it is one of those.
+    pub fn to_loc(&self) -> (dram::BankLoc, dram::RowId) {
+        let loc = dram::BankLoc {
+            channel: (self.0 >> 48) as u8,
+            rank: (self.0 >> 40) as u8,
+            bank: (self.0 >> 32) as u8,
+        };
+        (loc, self.0 as u32)
+    }
+
     /// The raw packed value (used for set indexing).
     pub fn raw(&self) -> u64 {
         self.0
@@ -118,5 +131,6 @@ mod tests {
             bank: 7,
         };
         assert_eq!(RowKey::from_loc(loc, 99), RowKey::new(1, 0, 7, 99));
+        assert_eq!(RowKey::new(1, 0, 7, 99).to_loc(), (loc, 99));
     }
 }

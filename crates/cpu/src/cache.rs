@@ -36,7 +36,16 @@ impl LlcConfig {
         (self.capacity_bytes / (self.ways as u64 * self.line_bytes)) as usize
     }
 
-    /// Validates geometry.
+    /// `log2` of the address range the cache can hold: a way's 32-bit
+    /// tag keeps 30 bits of an address above its set index and line
+    /// offset, so addresses must lie below `2^(30 + log2(capacity / ways))`
+    /// bytes (2^48 B for the paper LLC).
+    pub fn addr_bits(&self) -> u32 {
+        TAG_BITS + (self.capacity_bytes / self.ways as u64).trailing_zeros()
+    }
+
+    /// Validates geometry. The address range ([`Self::addr_bits`])
+    /// follows from it; an access beyond that range panics.
     ///
     /// # Errors
     ///
@@ -47,12 +56,6 @@ impl LlcConfig {
         }
         if !self.line_bytes.is_power_of_two() {
             return Err("line size must be a power of two".into());
-        }
-        if self.line_bytes < 4 {
-            // A way's tag keeps its valid and dirty flags in the top two
-            // bits, which a line number is free of only when lines span
-            // four bytes.
-            return Err("line size must be at least 4 bytes".into());
         }
         if self.ways > 256 {
             // Recency ranks are bytes.
@@ -106,13 +109,18 @@ impl LlcStats {
     }
 }
 
-/// A way's tag: the line number (`addr >> line_shift`) or'ed with
-/// [`VALID`], and with [`DIRTY`] once written. An empty way's tag is 0,
-/// which no valid line matches.
-const DIRTY: u64 = 1 << 63;
+/// A way's tag: the line number above the set index (`line >> log2(sets)`,
+/// the set supplying the low bits) or'ed with [`VALID`], and with
+/// [`DIRTY`] once written. An empty way's tag is 0, which no valid line
+/// matches.
+const DIRTY: u32 = 1 << 31;
 
 /// The valid flag's bit in a way's tag.
-const VALID: u64 = 1 << 62;
+const VALID: u32 = 1 << 30;
+
+/// Bits of a tag below the flags: the address bits above the set index
+/// a way can hold.
+const TAG_BITS: u32 = 30;
 
 /// Outcome of an LLC access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +137,10 @@ pub enum LlcOutcome {
 
 /// The shared last-level cache.
 ///
-/// Ways are stored as two parallel arrays, 9 bytes a way: the tag (see
-/// [`DIRTY`] and [`VALID`]) and a recency rank within the set (0 = most
-/// recently used). Each set's ranks are a permutation of `0..ways`, and
+/// Ways are stored as two parallel arrays, 5 bytes a way: the 32-bit
+/// tag (the line number above the set index, which the way's set
+/// supplies, with the valid and dirty flags in its top two bits) and a
+/// recency rank within the set (0 = most recently used). Each set's ranks are a permutation of `0..ways`, and
 /// its empty ways rank below every valid way, the first empty way
 /// lowest. So the way ranked `ways - 1` is the victim: the first empty
 /// way while one is left, else the least recently used.
@@ -141,7 +150,9 @@ pub struct Llc {
     sets: usize,
     /// `log2(line_bytes)` — lines are located by shift, not division.
     line_shift: u32,
-    tags: Vec<u64>,
+    /// `log2(sets)`: a line's bits above it form its tag.
+    set_shift: u32,
+    tags: Vec<u32>,
     ranks: Vec<u8>,
     stats: LlcStats,
 }
@@ -179,6 +190,7 @@ impl Llc {
         ranks.chunks_exact_mut(cfg.ways).for_each(empty_ranks);
         Self {
             line_shift: cfg.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             cfg,
             sets,
             tags: vec![0; sets * cfg.ways],
@@ -247,11 +259,33 @@ impl Llc {
 
     /// The first way of the set holding `addr`, and the tag a valid
     /// line of `addr` carries without its dirty flag.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` lies beyond [`LlcConfig::addr_bits`].
     #[inline]
-    fn locate(&self, addr: u64) -> (usize, u64) {
+    fn locate(&self, addr: u64) -> (usize, u32) {
         let line = addr >> self.line_shift;
         let set = (line as usize) & (self.sets - 1);
-        (set * self.cfg.ways, line | VALID)
+        let tag = line >> self.set_shift;
+        if tag >= 1 << TAG_BITS {
+            self.out_of_range(addr);
+        }
+        (set * self.cfg.ways, tag as u32 | VALID)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn out_of_range(&self, addr: u64) -> ! {
+        panic!(
+            "address {addr:#x} is beyond the LLC's 2^{} B address range",
+            self.cfg.addr_bits()
+        )
+    }
+
+    /// The line number a valid way of set `set` holds under `tag`.
+    fn tag_line(&self, set: u64, tag: u32) -> u64 {
+        (u64::from(tag & !(DIRTY | VALID)) << self.set_shift) | set
     }
 
     /// LRU-touches the line if present; optionally marks dirty.
@@ -288,7 +322,9 @@ impl Llc {
             return None;
         }
         self.stats.writebacks += 1;
-        Some((old & !(DIRTY | VALID)) << self.line_shift)
+        // The victim shares its set, the low bits of its line, with `addr`.
+        let set = (addr >> self.line_shift) & (self.sets as u64 - 1);
+        Some(self.tag_line(set, old) << self.line_shift)
     }
 }
 
@@ -316,7 +352,8 @@ const MIN_SET_BYTES: usize = 4 + 8 + WAY_BYTES;
 /// `u32` index, its valid-way count `n` and those ways' `(line number,
 /// dirty, rank)`. Every other way decodes to what it was: tag 0, and
 /// empty way `i` ranked `ways - 1 - i + n`. Decoding rejects a line
-/// number that overlaps the flag bits and ranks that are not a
+/// number beyond the address range, a line whose low bits name another
+/// set than the one it is listed under, and ranks that are not a
 /// permutation of `0..n`.
 impl State for Llc {
     fn put(&self, out: &mut Vec<u8>) {
@@ -334,7 +371,7 @@ impl State for Llc {
                 put_u32(out, u32::try_from(index).expect("set index fits u32"));
                 put_usize(out, n);
                 for (&tag, &rank) in tags[..n].iter().zip(ranks) {
-                    put_u64(out, tag & !(DIRTY | VALID));
+                    put_u64(out, self.tag_line(index as u64, tag));
                     put_bool(out, tag & DIRTY != 0);
                     put_u8(out, rank);
                 }
@@ -371,13 +408,17 @@ impl State for Llc {
                 let line = take_u64(input, "llc line tag")?;
                 let dirty = take_bool(input, "llc line dirty flag")?;
                 let rank = take_u8(input, "llc line rank")?;
-                if line & (DIRTY | VALID) != 0 {
+                let tag = line >> self.set_shift;
+                if tag >= 1 << TAG_BITS {
                     return Err(format!("llc line tag {line:#x} out of range"));
+                }
+                if line as usize & (self.sets - 1) != index {
+                    return Err(format!("llc line {line:#x} filed under set {index}"));
                 }
                 if usize::from(rank) >= n || std::mem::replace(&mut seen[usize::from(rank)], true) {
                     return Err(format!("llc set {index} ranks are not a permutation"));
                 }
-                self.tags[w] = line | VALID | if dirty { DIRTY } else { 0 };
+                self.tags[w] = tag as u32 | VALID | if dirty { DIRTY } else { 0 };
                 self.ranks[w] = rank;
             }
             for (i, r) in self.ranks[set + n..set + ways].iter_mut().enumerate() {
@@ -559,28 +600,39 @@ mod tests {
         assert!(encode(&c).len() <= 8 + 8 + 11 * lines as usize + 48);
     }
 
+    /// A checkpoint of `small()` (64 sets of 2 ways) listing `sets` as
+    /// `(index, valid ways)`: way `w` of set `index` holds line
+    /// `line(index, w)`, ranked `w`.
+    fn small_payload(sets: &[(u32, usize)], line: impl Fn(u32, u8) -> u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_usize(&mut out, 128);
+        put_usize(&mut out, sets.len());
+        for &(index, n) in sets {
+            put_u32(&mut out, index);
+            put_usize(&mut out, n);
+            for w in 0..n as u8 {
+                put_u64(&mut out, line(index, w));
+                put_bool(&mut out, false);
+                put_u8(&mut out, w);
+            }
+        }
+        LlcStats::default().put(&mut out);
+        out
+    }
+
+    /// Line `w` of set `index` in `small()`: its low 6 bits are the set.
+    fn in_set(index: u32, w: u8) -> u64 {
+        u64::from(w) << 6 | u64::from(index)
+    }
+
+    fn load_small(bytes: Vec<u8>) -> CodecResult<()> {
+        small().load(&mut bytes.as_slice())
+    }
+
     #[test]
     fn corrupt_set_framing_is_rejected() {
-        // `small()`: 64 sets of 2 ways. Way `w` of a listed set holds
-        // line `w`, ranked `w`.
-        let payload = |sets: &[(u32, usize)]| {
-            let mut out = Vec::new();
-            put_usize(&mut out, 128);
-            put_usize(&mut out, sets.len());
-            for &(index, n) in sets {
-                put_u32(&mut out, index);
-                put_usize(&mut out, n);
-                for w in 0..n as u8 {
-                    put_u64(&mut out, u64::from(w));
-                    put_bool(&mut out, false);
-                    put_u8(&mut out, w);
-                }
-            }
-            LlcStats::default().put(&mut out);
-            out
-        };
-        let load = |bytes: Vec<u8>| small().load(&mut bytes.as_slice());
-        load(payload(&[(3, 2), (63, 1)])).unwrap();
+        let payload = |sets: &[(u32, usize)]| small_payload(sets, in_set);
+        load_small(payload(&[(3, 2), (63, 1)])).unwrap();
         for (sets, why) in [
             (&[(3, 3)][..], "count above ways"),
             (&[(3, 0)], "empty set"),
@@ -588,21 +640,21 @@ mod tests {
             (&[(5, 1), (3, 1)], "index out of order"),
             (&[(5, 1), (5, 1)], "index repeated"),
         ] {
-            assert!(load(payload(sets)).is_err(), "{why} decoded");
+            assert!(load_small(payload(sets)).is_err(), "{why} decoded");
         }
         // A set's ranks must be a permutation of its valid ways, and a
-        // tag must leave both flag bits free.
+        // line must lie in the address range.
         const WAY: usize = 8 + 8 + 4 + 8;
         for (rank, why) in [(2, "rank past the valid ways"), (0, "rank repeated")] {
             let mut bad = payload(&[(3, 2)]);
             bad[WAY + 10 + 9] = rank;
-            let err = load(bad).unwrap_err();
+            let err = load_small(bad).unwrap_err();
             assert!(err.contains("not a permutation"), "{why}: {err}");
         }
-        for flag in [0x80, 0x40] {
+        for high in [0x80, 0x40, 0x01] {
             let mut wide_tag = payload(&[(3, 1)]);
-            wide_tag[WAY + 7] = flag;
-            assert!(load(wide_tag).unwrap_err().contains("out of range"));
+            wide_tag[WAY + 7] = high;
+            assert!(load_small(wide_tag).unwrap_err().contains("out of range"));
         }
         // The geometry check stays.
         let err = Llc::new(LlcConfig::paper_4mb())
@@ -612,9 +664,28 @@ mod tests {
     }
 
     #[test]
-    fn ways_take_nine_bytes_and_keep_dirty_in_the_tag() {
+    fn a_line_filed_under_another_set_is_rejected() {
+        // The set index is not stored in a way, so a line listed under
+        // the wrong set would come back as another address.
+        let of_set_5 = |_, w| in_set(5, w);
+        let err = load_small(small_payload(&[(3, 1)], of_set_5)).unwrap_err();
+        assert!(err.contains("filed under set 3"), "{err}");
+        // Only the second way strays, into set 4.
+        let err =
+            load_small(small_payload(&[(3, 2)], |i, w| in_set(i + u32::from(w), 0))).unwrap_err();
+        assert!(err.contains("filed under set 3"), "{err}");
+        load_small(small_payload(&[(5, 2)], of_set_5)).unwrap();
+    }
+
+    #[test]
+    fn ways_take_five_bytes_and_keep_their_flags_in_the_tag() {
         let paper = Llc::new(LlcConfig::paper_4mb());
-        assert_eq!(paper.tags.len() * 8 + paper.ranks.len(), 576 << 10);
+        assert_eq!(
+            size_of_val(&paper.tags[0]) + size_of_val(&paper.ranks[0]),
+            5
+        );
+        assert_eq!(paper.tags.len() * 5, 320 << 10);
+        assert_eq!(paper.config().addr_bits(), 48);
         let mut c = small();
         c.write(0x1000);
         c.fill(0x2000);
@@ -625,32 +696,67 @@ mod tests {
                 .find(|&&t| t & !DIRTY == key)
                 .unwrap();
             assert_eq!(tag & DIRTY != 0, dirty);
+            // The tag holds the line above the set index, beside both
+            // flags.
+            assert_eq!(tag & !(DIRTY | VALID), (addr >> 12) as u32);
         }
-        for (cfg, err) in [
-            (
-                LlcConfig {
-                    line_bytes: 2,
-                    ..*c.config()
-                },
-                "at least 4",
-            ),
-            (
-                LlcConfig {
-                    ways: 512,
-                    capacity_bytes: 512 * 64,
-                    ..*c.config()
-                },
-                "at most 256",
-            ),
-        ] {
-            assert!(cfg.validate().unwrap_err().contains(err), "{cfg:?}");
-        }
+        let too_wide = LlcConfig {
+            ways: 512,
+            capacity_bytes: 512 * 64,
+            ..*c.config()
+        };
+        assert!(too_wide.validate().unwrap_err().contains("at most 256"));
         let widest = LlcConfig {
             ways: 256,
             capacity_bytes: 4 * 256 * 64,
             ..*c.config()
         };
         widest.validate().unwrap();
+        // The tag's spare bits no longer depend on the line size: a
+        // 2-byte line only narrows the address range.
+        let narrow = LlcConfig {
+            line_bytes: 2,
+            ..*c.config()
+        };
+        narrow.validate().unwrap();
+        assert_eq!(narrow.addr_bits(), 30 + 12);
+    }
+
+    #[test]
+    fn victims_at_the_top_of_the_tag_range_keep_their_address() {
+        for cfg in [*small().config(), LlcConfig::paper_4mb()] {
+            // The last line of the range, and the stride between lines of
+            // one set.
+            let top = (1u64 << cfg.addr_bits()) - cfg.line_bytes;
+            let span = cfg.capacity_bytes / cfg.ways as u64;
+            let mut c = Llc::new(cfg);
+            c.write(top);
+            for i in 1..cfg.ways as u64 {
+                c.fill(top - i * span);
+            }
+            // Evicted by a store miss, and by a fill after a checkpoint
+            // round trip.
+            let mut restored = Llc::new(cfg);
+            restored.load(&mut encode(&c).as_slice()).unwrap();
+            let next = top - cfg.ways as u64 * span;
+            assert_eq!(
+                c.write(next),
+                LlcOutcome::Miss {
+                    writeback: Some(top)
+                },
+                "{cfg:?}"
+            );
+            assert_eq!(restored.fill(next), Some(top), "{cfg:?}");
+            assert!(!restored.probe(top) && restored.probe(next));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the LLC's 2^48 B address range")]
+    fn an_address_beyond_the_tag_range_panics_with_the_limit() {
+        let mut c = Llc::new(LlcConfig::paper_4mb());
+        c.read((1 << 48) - 64);
+        c.read(1 << 48);
     }
 
     /// The LLC as it was before recency ranks: every way carries the

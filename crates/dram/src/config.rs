@@ -59,8 +59,15 @@ impl Organization {
             * u64::from(self.channels)
     }
 
+    /// Rows per channel: ranks × banks × rows.
+    pub fn rows_per_channel(&self) -> u64 {
+        u64::from(self.ranks) * u64::from(self.banks) * u64::from(self.rows)
+    }
+
     /// Validates that all dimensions are non-zero powers of two (required
-    /// by the bit-sliced address mapper).
+    /// by the bit-sliced address mapper), and that a channel's rows can
+    /// be numbered in 32 bits (the controller's row-reuse tracker keys
+    /// rows that way).
     ///
     /// # Errors
     ///
@@ -86,6 +93,12 @@ impl Organization {
             return Err(format!(
                 "banks ({}) must be a multiple of bank_groups ({})",
                 self.banks, self.bank_groups
+            ));
+        }
+        if u32::try_from(self.rows_per_channel()).is_err() {
+            return Err(format!(
+                "rows per channel ({} ranks x {} banks x {} rows) must be below 2^32",
+                self.ranks, self.banks, self.rows
             ));
         }
         Ok(())
@@ -193,6 +206,17 @@ mod tests {
     fn paper_config_is_valid() {
         DramConfig::ddr3_1600_paper().validate().unwrap();
         DramConfig::ddr3_1600_paper_2ch().validate().unwrap();
+    }
+
+    #[test]
+    fn rows_per_channel_must_fit_32_bits() {
+        let mut org = Organization::paper(1);
+        org.rows = 1 << 31;
+        org.banks = 1;
+        org.bank_groups = 1;
+        org.validate().unwrap();
+        org.banks = 2;
+        assert!(org.validate().unwrap_err().contains("below 2^32"));
     }
 
     #[test]

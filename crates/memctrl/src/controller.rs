@@ -311,7 +311,7 @@ impl ChannelCtrl {
             rltl: RltlTracker::paper(dram.timing.cycles_per_ms()),
             // Depth well beyond any HCRAC capacity we sweep (Figure 10
             // tops out at 1024 entries/core).
-            reuse: RowReuseTracker::new(16_384),
+            reuse: RowReuseTracker::new(16_384, channel, &dram.org),
             stats: CtrlStats::default(),
         }
     }
@@ -983,7 +983,7 @@ impl ChannelCtrl {
         let timings = self.mech.on_activate(now, q.p.core, key, refresh_age);
         device.issue(&Command::act(loc, q.p.addr.row), now, timings);
         self.rltl.on_activate(now, key, refresh_age);
-        self.reuse.on_activate(key);
+        self.reuse.on_activate(bank, q.p.addr.row);
         self.opened_by[bank] = q.p.core;
         match q.progress {
             Progress::PreIssued => self.stats.row_conflicts += 1,

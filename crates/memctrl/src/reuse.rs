@@ -18,9 +18,17 @@
 //! timeline holds one slot per activation since the last compaction, so
 //! its memory grows with the activations a run makes, up to a fixed
 //! bound, instead of being allocated for the bound up front.
+//!
+//! A tracker serves one channel and names its rows by a dense 32-bit id,
+//! `flat bank × rows + row`, so every entry is 4 bytes: a timeline slot
+//! holds a row id, and the row → latest-slot map an id and a slot (about
+//! 8 bytes a row plus the map's control byte). Its Fenwick nodes are
+//! 4-byte counts. At the 64 Ki-slot cap the timeline is 256 KiB and the
+//! tree as much again.
 
 use chargecache::RowKey;
-use fasthash::codec::{load_slice, put_slice, put_sorted_map, CodecResult, State};
+use dram::{BankLoc, Organization, RowId};
+use fasthash::codec::{load_slice, put_slice, put_usize, CodecResult, State};
 use fasthash::FastHashMap;
 
 /// Power-of-two reuse-distance histogram.
@@ -139,7 +147,8 @@ impl Fenwick {
     }
 }
 
-/// Exact bounded LRU stack-distance tracker over activated rows.
+/// Exact bounded LRU stack-distance tracker over the rows one channel
+/// activates.
 ///
 /// Equivalent to a most-recent-first stack of rows capped at `depth`
 /// entries, but with O(log n) activations: each row's latest activation
@@ -149,12 +158,20 @@ impl Fenwick {
 /// until then it grows by one slot per activation.
 #[derive(Debug, Clone)]
 pub struct RowReuseTracker {
-    /// Row → 1-indexed slot of its latest activation.
-    last_slot: FastHashMap<RowKey, usize>,
-    /// Row activated in each slot (for compaction), parallel to the
+    /// The channel tracked: a row's [`RowKey`] is rebuilt from its id
+    /// with it.
+    channel: u8,
+    banks_per_rank: u8,
+    /// Rows per bank: a row's id is `flat bank × rows + row`.
+    rows: u32,
+    /// Rows in the channel; every id lies below it.
+    ids: u32,
+    /// Row id → 1-indexed slot of its latest activation.
+    last_slot: FastHashMap<u32, u32>,
+    /// Row id activated in each slot (for compaction), parallel to the
     /// tree; `slot_row[0]` is unused, so the next free slot is
     /// `slot_row.len()`.
-    slot_row: Vec<RowKey>,
+    slot_row: Vec<u32>,
     bit: Fenwick,
     /// Slots the timeline may hold before it compacts.
     capacity: usize,
@@ -166,18 +183,30 @@ pub struct RowReuseTracker {
     activations: u64,
 }
 
+/// A slot no row occupies: no row id equals it, because
+/// [`Organization::validate`] keeps a channel's rows below 2^32.
+const NO_ROW: u32 = u32::MAX;
+
 impl RowReuseTracker {
-    /// Creates a tracker with the given maximum stack depth.
+    /// Creates a tracker of channel `channel` of `org` with the given
+    /// maximum stack depth.
     ///
     /// # Panics
     ///
-    /// Panics if `depth` is zero.
-    pub fn new(depth: usize) -> Self {
+    /// Panics if `depth` is zero or `org` has 2^32 rows per channel or
+    /// more (which [`Organization::validate`] rejects).
+    pub fn new(depth: usize, channel: u8, org: &Organization) -> Self {
         assert!(depth > 0, "depth must be non-zero");
+        let ids = u32::try_from(org.rows_per_channel())
+            .expect("rows per channel must be below 2^32 (Organization::validate)");
         let buckets = (usize::BITS - (depth - 1).leading_zeros()) as usize + 1;
         Self {
+            channel,
+            banks_per_rank: org.banks,
+            rows: org.rows,
+            ids,
             last_slot: FastHashMap::default(),
-            slot_row: vec![RowKey::default()],
+            slot_row: vec![NO_ROW],
             bit: Fenwick::new(0),
             capacity: (4 * depth).max(1024),
             depth,
@@ -185,6 +214,35 @@ impl RowReuseTracker {
             cold_or_beyond: 0,
             activations: 0,
         }
+    }
+
+    /// The [`RowKey`] of row id `id`.
+    fn key_of(&self, id: u32) -> RowKey {
+        let bank =
+            BankLoc::from_flat_index(self.channel, (id / self.rows) as usize, self.banks_per_rank);
+        RowKey::from_loc(bank, id % self.rows)
+    }
+
+    /// The row id of `key`, or why it names no row of this channel.
+    fn id_of(&self, key: RowKey) -> Result<u32, String> {
+        let (loc, row) = key.to_loc();
+        let id = loc.flat_index(self.banks_per_rank) as u64 * u64::from(self.rows) + u64::from(row);
+        if RowKey::from_loc(loc, row) != key
+            || loc.bank >= self.banks_per_rank
+            || row >= self.rows
+            || id >= u64::from(self.ids)
+        {
+            return Err(format!("reuse row {:#x} out of range", key.raw()));
+        }
+        if loc.channel != self.channel {
+            return Err(format!(
+                "reuse row {:#x} is in channel {}, not {}",
+                key.raw(),
+                loc.channel,
+                self.channel
+            ));
+        }
+        Ok(id as u32)
     }
 
     /// Rebuilds the timeline, keeping only the `depth` most recent rows'
@@ -205,7 +263,7 @@ impl RowReuseTracker {
                     break;
                 }
                 let row = self.slot_row[old];
-                if self.last_slot.get(&row) == Some(&old) {
+                if self.last_slot.get(&row) == Some(&(old as u32)) {
                     self.last_slot.remove(&row);
                     self.bit.add(old, false);
                     to_prune -= 1;
@@ -215,12 +273,12 @@ impl RowReuseTracker {
         // Renumber the survivors (≤ depth ≤ capacity/4) in place, oldest
         // first: a survivor's new slot never lies after its old one, and
         // a stale slot never equals a renumbered row's new slot.
-        let mut next = 1usize;
+        let mut next = 1;
         for old in 1..self.slot_row.len() {
             let row = self.slot_row[old];
-            if self.last_slot.get(&row) == Some(&old) {
+            if self.last_slot.get(&row) == Some(&(old as u32)) {
                 self.slot_row[next] = row;
-                self.last_slot.insert(row, next);
+                self.last_slot.insert(row, next as u32);
                 next += 1;
             }
         }
@@ -235,19 +293,23 @@ impl RowReuseTracker {
         self.last_slot.len()
     }
 
-    /// Records a row activation; returns the reuse distance (`None` for
+    /// Records an activation of row `row` of the channel's bank at flat
+    /// rank-major index `bank`; returns the reuse distance (`None` for
     /// cold/beyond-depth activations).
-    pub fn on_activate(&mut self, key: RowKey) -> Option<u64> {
+    pub fn on_activate(&mut self, bank: usize, row: RowId) -> Option<u64> {
+        let id = bank as u32 * self.rows + row;
+        debug_assert!(row < self.rows && id < self.ids, "row {row} of bank {bank}");
         self.activations += 1;
         if self.slot_row.len() > self.capacity {
             self.compact();
         }
         let slot = self.slot_row.len();
-        let prev = self.last_slot.insert(key, slot);
+        let prev = self.last_slot.insert(id, slot as u32);
         self.bit.push_marked();
-        self.slot_row.push(key);
+        self.slot_row.push(id);
         let dist = match prev {
             Some(p) => {
+                let p = p as usize;
                 // Marks strictly after the previous slot (excluding the
                 // one just added) = rows activated since, each once.
                 let after = self.bit.total - self.bit.prefix(p) - 1;
@@ -295,15 +357,17 @@ impl RowReuseTracker {
     ///
     /// Panics if `trackers` is empty or their depths differ.
     pub fn report_all<'a>(trackers: impl IntoIterator<Item = &'a RowReuseTracker>) -> ReuseReport {
-        let mut trackers = trackers.into_iter().peekable();
-        let depth = trackers.peek().expect("at least one tracker").depth;
-        // A fresh tracker's timeline is empty, so the fold copies only
-        // the histograms.
-        let mut agg = RowReuseTracker::new(depth);
+        let mut trackers = trackers.into_iter();
+        let mut agg = trackers.next().expect("at least one tracker").report();
         for t in trackers {
-            agg.absorb(t);
+            assert_eq!(agg.counts.len(), t.counts.len());
+            for (a, b) in agg.counts.iter_mut().zip(&t.counts) {
+                *a += b;
+            }
+            agg.cold_or_beyond += t.cold_or_beyond;
+            agg.activations += t.activations;
         }
-        agg.report()
+        agg
     }
 
     /// Merges another tracker's histogram (stacks are not merged).
@@ -323,9 +387,17 @@ impl RowReuseTracker {
 /// counters are written: the Fenwick marks are exactly the latest slots,
 /// and stale `slot_row` entries are never consulted (compaction checks
 /// `last_slot` before trusting a slot), so both are rebuilt on load.
+/// The map is written as `(RowKey, usize)` pairs sorted by key; ids sort
+/// as their keys do, because both order rows by rank, bank and row.
 impl State for RowReuseTracker {
     fn put(&self, out: &mut Vec<u8>) {
-        put_sorted_map(out, &self.last_slot);
+        let mut items: Vec<(u32, u32)> = self.last_slot.iter().map(|(&r, &s)| (r, s)).collect();
+        items.sort_unstable();
+        put_usize(out, items.len());
+        for (id, slot) in items {
+            self.key_of(id).put(out);
+            put_usize(out, slot as usize);
+        }
         self.slot_row.len().put(out);
         put_slice(out, &self.counts);
         self.cold_or_beyond.put(out);
@@ -346,19 +418,20 @@ impl State for RowReuseTracker {
         self.activations.load(input)?;
 
         let mut last_slot = FastHashMap::default();
-        let mut slot_row = vec![RowKey::default(); next_slot];
+        let mut slot_row = vec![NO_ROW; next_slot];
         let mut bit = Fenwick::new(next_slot - 1);
         for (key, slot) in items {
+            let id = self.id_of(key)?;
             if slot == 0 || slot >= next_slot {
                 return Err(format!("reuse slot {slot} out of range"));
             }
-            if last_slot.insert(key, slot).is_some() {
+            if last_slot.insert(id, slot as u32).is_some() {
                 return Err("reuse row listed twice".to_string());
             }
-            if slot_row[slot] != RowKey::default() && slot_row[slot] != key {
+            if slot_row[slot] != NO_ROW {
                 return Err(format!("reuse slot {slot} occupied twice"));
             }
-            slot_row[slot] = key;
+            slot_row[slot] = id;
             bit.add(slot, true);
         }
         self.last_slot = last_slot;
@@ -372,58 +445,78 @@ impl State for RowReuseTracker {
 mod tests {
     use super::*;
 
-    fn key(row: u32) -> RowKey {
-        RowKey::new(0, 0, 0, row)
+    /// Two ranks of eight banks of 4096 rows per channel.
+    fn org() -> Organization {
+        Organization {
+            channels: 2,
+            ranks: 2,
+            banks: 8,
+            bank_groups: 1,
+            rows: 4096,
+            columns: 128,
+            line_bytes: 64,
+        }
+    }
+
+    /// A tracker of channel 0 of [`org`].
+    fn tracker(depth: usize) -> RowReuseTracker {
+        RowReuseTracker::new(depth, 0, &org())
+    }
+
+    fn encode(t: &RowReuseTracker) -> Vec<u8> {
+        let mut out = Vec::new();
+        t.put(&mut out);
+        out
     }
 
     #[test]
     fn immediate_reuse_has_distance_one() {
-        let mut t = RowReuseTracker::new(64);
-        t.on_activate(key(1));
-        assert_eq!(t.on_activate(key(1)), Some(1));
+        let mut t = tracker(64);
+        t.on_activate(0, 1);
+        assert_eq!(t.on_activate(0, 1), Some(1));
     }
 
     #[test]
     fn distance_counts_distinct_intervening_rows() {
-        let mut t = RowReuseTracker::new(64);
-        t.on_activate(key(1));
-        t.on_activate(key(2));
-        t.on_activate(key(3));
+        let mut t = tracker(64);
+        t.on_activate(0, 1);
+        t.on_activate(0, 2);
+        t.on_activate(0, 3);
         // Rows 2 and 3 intervene → distance 3 (stack position).
-        assert_eq!(t.on_activate(key(1)), Some(3));
+        assert_eq!(t.on_activate(0, 1), Some(3));
     }
 
     #[test]
     fn repeated_intervening_rows_do_not_inflate_distance() {
-        let mut t = RowReuseTracker::new(64);
-        t.on_activate(key(1));
+        let mut t = tracker(64);
+        t.on_activate(0, 1);
         for _ in 0..10 {
-            t.on_activate(key(2));
+            t.on_activate(0, 2);
         }
-        assert_eq!(t.on_activate(key(1)), Some(2));
+        assert_eq!(t.on_activate(0, 1), Some(2));
     }
 
     #[test]
     fn beyond_depth_is_cold() {
-        let mut t = RowReuseTracker::new(4);
-        t.on_activate(key(0));
+        let mut t = tracker(4);
+        t.on_activate(0, 0);
         for r in 1..=4 {
-            t.on_activate(key(r));
+            t.on_activate(0, r);
         }
         // Row 0 fell off the 4-deep stack.
-        assert_eq!(t.on_activate(key(0)), None);
+        assert_eq!(t.on_activate(0, 0), None);
         assert_eq!(t.report().cold_or_beyond, 6);
     }
 
     #[test]
     fn report_fractions_are_cumulative() {
-        let mut t = RowReuseTracker::new(64);
+        let mut t = tracker(64);
         // Distances 1 and 3.
-        t.on_activate(key(1));
-        t.on_activate(key(1));
-        t.on_activate(key(2));
-        t.on_activate(key(3));
-        t.on_activate(key(1));
+        t.on_activate(0, 1);
+        t.on_activate(0, 1);
+        t.on_activate(0, 2);
+        t.on_activate(0, 3);
+        t.on_activate(0, 1);
         let r = t.report();
         assert_eq!(r.activations, 5);
         assert!(r.fraction_within(1) > 0.0);
@@ -435,9 +528,9 @@ mod tests {
         // Depth 8 with the minimum 1024-slot timeline: 2000 distinct rows
         // force a compaction that must prune everything deeper than the
         // 8 most recent.
-        let mut t = RowReuseTracker::new(8);
+        let mut t = tracker(8);
         for r in 0..2000u32 {
-            t.on_activate(key(r));
+            t.on_activate(0, r);
         }
         // Memory stays bounded: at most `depth` survivors per compaction
         // plus one timeline of new rows between compactions.
@@ -447,62 +540,139 @@ mod tests {
             t.tracked_rows()
         );
         // A recent row keeps its exact distance across the pruning…
-        assert_eq!(t.on_activate(key(1996)), Some(4));
+        assert_eq!(t.on_activate(0, 1996), Some(4));
         // …and an ancient (pruned) row classifies cold, exactly like the
         // former bounded stack.
-        assert_eq!(t.on_activate(key(0)), None);
+        assert_eq!(t.on_activate(0, 0), None);
     }
 
-    /// The LRU stack distance by definition: the position of `key` in a
+    /// The LRU stack distance by definition: the position of `row` in a
     /// most-recent-first stack of distinct rows, `None` beyond `depth`.
-    fn stack_distance(stack: &mut Vec<RowKey>, key: RowKey, depth: usize) -> Option<u64> {
-        let pos = stack.iter().position(|&k| k == key);
+    fn stack_distance<K: PartialEq>(stack: &mut Vec<K>, row: K, depth: usize) -> Option<u64> {
+        let pos = stack.iter().position(|k| *k == row);
         if let Some(p) = pos {
             stack.remove(p);
         }
-        stack.insert(0, key);
+        stack.insert(0, row);
         stack.truncate(depth);
         pos.map(|p| p as u64 + 1)
     }
 
     #[test]
     fn growing_timeline_matches_a_reference_stack() {
-        let mut t = RowReuseTracker::new(16);
+        let org = org();
+        let banks = usize::from(org.ranks) * usize::from(org.banks);
+        let mut t = RowReuseTracker::new(16, 1, &org);
         // Nothing is allocated for the timeline up front.
         assert_eq!((t.slot_row.len(), t.bit.tree.len()), (1, 1));
         let mut stack = Vec::new();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        for i in 0..5_000 {
+        let mut compactions = 0;
+        for i in 0..20_000 {
             x = x
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1_442_695_040_888_963_407);
-            // A small hot set and a wide cold one, so distances span the
-            // depth and compactions prune.
-            let row = if x >> 62 == 0 {
-                (x >> 32) % 400
+            // A small hot set and a wide cold one across every rank, bank
+            // and row, so distances span the depth and compactions prune;
+            // the hot rows share row numbers across banks.
+            let (bank, row) = if x >> 62 == 0 {
+                ((x >> 8) as usize % banks, (x >> 32) as u32 % org.rows)
             } else {
-                (x >> 32) % 12
+                ((x >> 8) as usize % 3 * 5, (x >> 32) as u32 % 4)
             };
-            let k = key(row as u32);
+            let before = t.slot_row.len();
             assert_eq!(
-                t.on_activate(k),
-                stack_distance(&mut stack, k, 16),
+                t.on_activate(bank, row),
+                stack_distance(&mut stack, (bank, row), 16),
                 "activation {i}"
             );
+            compactions += usize::from(t.slot_row.len() < before);
             assert!(t.slot_row.len() <= t.capacity + 1);
             assert_eq!(t.bit.tree.len(), t.slot_row.len());
+            if i % 7_001 == 7_000 {
+                // A checkpoint round trip into a tracker holding other
+                // rows, mid-stream.
+                let mut restored = RowReuseTracker::new(16, 1, &org);
+                restored.on_activate(3, 3);
+                let bytes = encode(&t);
+                restored.load(&mut bytes.as_slice()).unwrap();
+                assert_eq!(encode(&restored), bytes);
+                t = restored;
+            }
         }
+        assert!(compactions >= 10, "{compactions} compactions");
+    }
+
+    #[test]
+    fn state_bytes_match_the_row_key_encoding() {
+        // The tracker's encoding for this stream, captured when the
+        // tracker was keyed by `RowKey` with 8-byte slots: the map is
+        // still written as sorted `(RowKey, usize)` pairs.
+        let mut t = RowReuseTracker::new(16, 1, &org());
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..3_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let rank = (x >> 63) as usize;
+            let bank = (x >> 60) as usize & 7;
+            let row = if (x >> 58) & 3 == 0 {
+                (x >> 33) % 1024
+            } else {
+                (x >> 33) % 6
+            };
+            t.on_activate(rank * 8 + bank, row as u32);
+        }
+        let bytes = encode(&t);
+        assert_eq!(t.tracked_rows(), 348);
+        assert_eq!(
+            (bytes.len(), fasthash::checksum_64(&bytes)),
+            (5648, 0xddae_f788_75c5_0ee5)
+        );
+    }
+
+    #[test]
+    fn decoding_rejects_rows_of_another_channel_or_out_of_range() {
+        let org = org();
+        let mut t = RowReuseTracker::new(64, 1, &org);
+        t.on_activate(0, 5);
+        let bytes = encode(&t);
+        // The map's one key follows its length.
+        let with_key = |key: RowKey| {
+            let mut b = bytes.clone();
+            b[8..16].copy_from_slice(&key.raw().to_le_bytes());
+            RowReuseTracker::new(64, 1, &org).load(&mut b.as_slice())
+        };
+        with_key(RowKey::new(1, 0, 0, 5)).unwrap();
+        with_key(RowKey::new(1, 1, 7, 4095)).unwrap();
+        let err = with_key(RowKey::new(0, 0, 0, 5)).unwrap_err();
+        assert!(err.contains("in channel 0, not 1"), "{err}");
+        for key in [
+            RowKey::new(1, 2, 0, 5),
+            RowKey::new(1, 0, 8, 5),
+            RowKey::new(1, 0, 0, 4096),
+            RowKey::new(1, 0, 0, u32::MAX),
+        ] {
+            let err = with_key(key).unwrap_err();
+            assert!(err.contains("out of range"), "{key:?}: {err}");
+        }
+        let mut high = bytes.clone();
+        high[15] = 0x80;
+        let err = RowReuseTracker::new(64, 1, &org)
+            .load(&mut high.as_slice())
+            .unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]
     fn report_all_equals_the_absorb_fold() {
-        let mut a = RowReuseTracker::new(64);
-        let mut b = RowReuseTracker::new(64);
+        let mut a = tracker(64);
+        let mut b = tracker(64);
         for r in [1, 2, 1, 3, 3, 2] {
-            a.on_activate(key(r));
+            a.on_activate(0, r);
         }
         for r in [5, 5, 6, 5] {
-            b.on_activate(key(r));
+            b.on_activate(0, r);
         }
         let mut folded = a.clone();
         folded.absorb(&b);
@@ -512,11 +682,11 @@ mod tests {
 
     #[test]
     fn median_tracks_the_mass() {
-        let mut t = RowReuseTracker::new(1024);
+        let mut t = tracker(1024);
         // 100 immediate reuses.
-        t.on_activate(key(7));
+        t.on_activate(0, 7);
         for _ in 0..100 {
-            t.on_activate(key(7));
+            t.on_activate(0, 7);
         }
         assert_eq!(t.report().median_bound(), Some(1));
     }

@@ -243,6 +243,34 @@ mod tests {
     }
 
     #[test]
+    fn each_paper_bound_closes_its_own_bucket() {
+        // DDR3-1600: 800,000 bus cycles per ms.
+        let cpm = 800_000;
+        let mut t = RltlTracker::paper(cpm);
+        let bounds = [100_000, 200_000, 400_000, 800_000, 6_400_000, 25_600_000];
+        assert_eq!(t.bounds, bounds);
+        let mut row = 0;
+        for (i, &bound) in bounds.iter().enumerate() {
+            // Reactivated exactly at the bound, then one cycle past it.
+            for (age, bucket) in [(bound, i), (bound + 1, i + 1)] {
+                row += 1;
+                let (mut counts, mut beyond) = (t.counts.clone(), t.beyond);
+                match counts.get_mut(bucket) {
+                    Some(c) => *c += 1,
+                    None => beyond += 1,
+                }
+                t.on_precharge(1_000, key(row));
+                t.on_activate(1_000 + age, key(row), u64::MAX);
+                assert_eq!((&t.counts, t.beyond), (&counts, beyond), "age {age}");
+            }
+        }
+        // Two activations closed each bucket but the first, and the last
+        // one-past went beyond 32 ms.
+        assert_eq!(t.counts, [1, 2, 2, 2, 2, 2]);
+        assert_eq!(t.beyond, 1);
+    }
+
+    #[test]
     fn refresh_window_fraction() {
         let cpm = 800_000;
         let mut t = RltlTracker::paper(cpm);

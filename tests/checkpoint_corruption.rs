@@ -78,9 +78,13 @@ fn build() -> System {
 }
 
 /// The largest allocation a restore makes whatever its input: the
-/// reuse tracker rebuilds its slot timeline (one 8-byte row key per
-/// slot, 64 Ki slots) from the decoded map.
-const FIXED_REBUILD: usize = 1 << 20;
+/// reuse tracker rebuilds its slot timeline (one 4-byte row id per slot,
+/// 64 Ki slots) and a Fenwick tree of 4-byte counts over it from the
+/// decoded map.
+const FIXED_REBUILD: usize = (64 << 10) * 4;
+
+/// Slots the controller's reuse tracker holds before it compacts.
+const REUSE_SLOTS: u64 = 64 << 10;
 
 /// Decodes `bytes` into `sys` the way a checkpoint resume does (trailing
 /// bytes are an error), checking the allocation bound.
@@ -150,4 +154,42 @@ fn truncated_or_corrupt_checkpoints_fail_cleanly() {
             "flipped framing byte {i} decoded"
         );
     }
+}
+
+/// A payload whose reuse timeline is at its cap decodes, and the
+/// timeline it rebuilds stays within [`FIXED_REBUILD`] (plus one slot,
+/// which the input's length covers).
+#[test]
+fn a_full_reuse_timeline_rebuilds_within_the_fixed_bound() {
+    let mut sys = build();
+    assert!(sys.run_until_retired(350, 50_000_000));
+    let mut payload = Vec::new();
+    assert!(sys.save_state(&mut payload));
+    // The tracker writes its next free slot, then its histogram, cold
+    // count and activation count. No compaction has run, so the next
+    // slot follows the activations.
+    let r = sys.memory().reuse_report();
+    assert!(r.activations < REUSE_SLOTS);
+    let tail = |next_slot: u64| {
+        let mut b = next_slot.to_le_bytes().to_vec();
+        b.extend((r.counts.len() as u64).to_le_bytes());
+        for c in &r.counts {
+            b.extend(c.to_le_bytes());
+        }
+        b.extend(r.cold_or_beyond.to_le_bytes());
+        b.extend(r.activations.to_le_bytes());
+        b
+    };
+    let old = tail(r.activations + 1);
+    let at: Vec<usize> = payload
+        .windows(old.len())
+        .enumerate()
+        .filter_map(|(i, w)| (w == old).then_some(i))
+        .collect();
+    assert_eq!(at.len(), 1, "the reuse tracker's tail is not unique");
+    let new = tail(REUSE_SLOTS + 1);
+    payload[at[0]..at[0] + new.len()].copy_from_slice(&new);
+    decode(&mut build(), &payload).expect("a full timeline restores");
+    let largest = LARGEST.with(Cell::get);
+    assert!(largest > FIXED_REBUILD, "largest allocation {largest} B");
 }
