@@ -1,10 +1,12 @@
-//! Little-endian binary codec for checkpoint state.
+//! Little-endian binary codec for checkpoints and run-cache payloads.
 //!
-//! This module is the one description of the checkpoint wire format.
-//! Every stateful type in the simulator — cores, LLC, DRAM banks, ranks
-//! and channels, the HCRAC and mechanisms, controllers, trackers and the
-//! system itself — goes on the wire through the [`State`] trait, so the
-//! framing decisions below are made here and nowhere else.
+//! This module is the one description of the simulator's wire format.
+//! Every stateful type — cores, LLC, DRAM banks, ranks and channels, the
+//! HCRAC and mechanisms, controllers, trackers and the system itself —
+//! goes into a checkpoint through the [`State`] trait, and so does a
+//! finished run's result (`sim::RunResult`, the payload of a `.run`
+//! cache entry), so the framing decisions below are made here and
+//! nowhere else.
 //!
 //! # Conventions
 //!
@@ -55,12 +57,14 @@
 //!
 //! Readers take a `&mut &[u8]` cursor and return `Err` with a short
 //! description instead of panicking, so a truncated or corrupt
-//! checkpoint degrades to a clean restart rather than aborting the run.
+//! checkpoint degrades to a clean restart, and a corrupt cache entry to
+//! a re-simulation, rather than aborting the run.
 //!
 //! Like [`crate::content_hash_128`], this is a frozen wire format:
-//! checkpoints written by one build must be readable by the next, or be
-//! cleanly rejected by the version header (`sim::ckpt::CKPT_VERSION`
-//! must bump with any layout change).
+//! checkpoints and cache entries written by one build must be readable
+//! by the next, or be cleanly rejected by their version header
+//! (`sim::ckpt::CKPT_VERSION` or `sim::cache::ENTRY_VERSION` must bump
+//! with any layout change of what they carry).
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasher, Hash};
@@ -121,7 +125,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn short(what: &str) -> CodecError {
-    format!("checkpoint truncated reading {what}")
+    format!("input truncated reading {what}")
 }
 
 /// Reads `n` raw bytes, advancing the cursor.

@@ -477,6 +477,7 @@ impl ChannelCtrl {
             done.push(Completion {
                 id: f.p.id,
                 core: f.p.core,
+                line: f.p.line,
                 at: f.at,
                 kind: AccessKind::Read,
             });
@@ -1181,6 +1182,7 @@ mod tests {
         Pending {
             id,
             core: 0,
+            line: addr,
             addr: mapper.decode(addr),
             arrived: 0,
             kind,

@@ -191,6 +191,7 @@ impl MemorySystem {
             Pending {
                 id,
                 core: req.core,
+                line: req.addr,
                 addr,
                 arrived: now,
                 kind: req.kind,
@@ -372,6 +373,23 @@ mod tests {
         let s = mem.stats();
         assert_eq!(s.row_misses, 1);
         assert_eq!(s.row_hits, 0);
+    }
+
+    #[test]
+    fn completions_carry_the_submitted_address() {
+        // An address past the capacity decodes (wrapped) to the same
+        // location as `0x10000`; its completion still names it as sent.
+        let cfg = DramConfig::ddr3_1600_paper();
+        let far = cfg.org.capacity_bytes() + 0x10000;
+        let mut mem = MemorySystem::baseline(cfg, CtrlConfig::default());
+        let near = mem.try_enqueue(read(0x10000), 0).unwrap();
+        let wrapped = mem.try_enqueue(read(far), 0).unwrap();
+        let mut got: Vec<_> = run(&mut mem, 0, 200)
+            .iter()
+            .map(|c| (c.id, c.line))
+            .collect();
+        got.sort_unstable();
+        assert_eq!(got, [(near, 0x10000), (wrapped, far)]);
     }
 
     #[test]

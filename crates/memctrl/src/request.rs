@@ -33,6 +33,10 @@ pub struct MemRequest {
 pub(crate) struct Pending {
     pub id: RequestId,
     pub core: usize,
+    /// The physical address as submitted ([`MemRequest::addr`]), handed
+    /// back in the [`Completion`]. It is kept rather than rebuilt from
+    /// `addr`, because decoding wraps addresses modulo the capacity.
+    pub line: u64,
     pub addr: DramAddress,
     pub arrived: BusCycle,
     pub kind: AccessKind,
@@ -65,6 +69,9 @@ pub struct Completion {
     pub id: RequestId,
     /// Issuing core.
     pub core: usize,
+    /// The request's physical address, as submitted in
+    /// [`MemRequest::addr`].
+    pub line: u64,
     /// Bus cycle at which the data arrived (reads) or the request was
     /// accepted (writes).
     pub at: BusCycle,
@@ -104,6 +111,7 @@ impl State for Progress {
 impl_state!(Pending {
     id,
     core,
+    line,
     addr,
     arrived,
     kind

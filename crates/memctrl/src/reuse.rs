@@ -29,10 +29,10 @@
 use chargecache::RowKey;
 use dram::{BankLoc, Organization, RowId};
 use fasthash::codec::{load_slice, put_slice, put_usize, CodecResult, State};
-use fasthash::FastHashMap;
+use fasthash::{impl_state, FastHashMap};
 
 /// Power-of-two reuse-distance histogram.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReuseReport {
     /// Upper bound of each bucket: distance ≤ 2^i (bucket 0 = distance ≤ 1).
     pub bucket_bounds: Vec<u64>,
@@ -76,6 +76,13 @@ impl ReuseReport {
         None
     }
 }
+
+impl_state!(ReuseReport {
+    bucket_bounds,
+    counts,
+    cold_or_beyond,
+    activations
+});
 
 /// Binary indexed tree counting marked activation slots, one node per
 /// slot in use. Node `i` covers slots `(i - lowbit(i), i]` whatever the

@@ -9,13 +9,13 @@
 use chargecache::RowKey;
 use dram::BusCycle;
 use fasthash::codec::{load_map, load_slice, put_slice, put_sorted_map, CodecResult, State};
-use fasthash::FastHashMap;
+use fasthash::{impl_state, FastHashMap};
 
 /// Interval edges used by the paper's Figures 3 and 4, in milliseconds.
 pub const PAPER_INTERVALS_MS: [f64; 6] = [0.125, 0.25, 0.5, 1.0, 8.0, 32.0];
 
 /// Snapshot of RLTL measurements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RltlReport {
     /// Interval upper bounds in milliseconds.
     pub intervals_ms: Vec<f64>,
@@ -27,6 +27,13 @@ pub struct RltlReport {
     /// Total activations observed.
     pub activations: u64,
 }
+
+impl_state!(RltlReport {
+    intervals_ms,
+    rltl_fraction,
+    refresh_8ms_fraction,
+    activations
+});
 
 /// Streaming RLTL tracker fed by the controller.
 #[derive(Debug, Clone)]

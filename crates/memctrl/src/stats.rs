@@ -177,10 +177,10 @@ impl_state!(CtrlStats {
     refreshes,
     read_latency_sum,
     read_latency_count,
+    read_latency_hist,
     sched_passes,
     sched_bank_visits,
-    index_release_misses,
-    read_latency_hist
+    index_release_misses
 });
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! version  u32 LE    ENTRY_VERSION
 //! key      u128 LE   must match the filename-derived key
 //! len      u64 LE    payload length in bytes
-//! payload  [u8]      RunResult::encode bytes
+//! payload  [u8]      RunResult::encode bytes (its codec State encoding)
 //! len      u64 LE    footer: repeated payload length
 //! checksum u64 LE    footer: FNV-1a-64 of the payload
 //! ```

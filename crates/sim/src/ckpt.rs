@@ -15,7 +15,7 @@
 //!
 //! One file per in-progress cell, named `{content_key:032x}.ckpt` in the
 //! run-cache directory — a sibling of the `.run` entries in the same
-//! envelope ([`crate::cache`], magic `CCCKP\0v3`, version
+//! envelope ([`crate::cache`], magic `CCCKP\0v4`, version
 //! [`CKPT_VERSION`]): atomic temp-file + rename stores,
 //! quarantine-on-corrupt (`<name>.ckpt.corrupt`), and version mismatches
 //! treated as clean misses. The run cache's `gc` only matches `.run` names, so
@@ -27,9 +27,15 @@
 //! measured phase has begun, and the complete deterministic system state
 //! ([`System::save_state`]), all in the [`fasthash::codec`] wire format,
 //! so identical runs produce identical checkpoint bytes. The payload's
-//! size follows the simulated state, not the run's length: version 3
-//! replaced the DRAM device's command log with its fixed-size energy
-//! meter and the LLC's 64-bit LRU stamps with one-byte recency ranks.
+//! size follows the simulated state, not the run's length.
+//!
+//! Version history (each bump turns older checkpoints into clean misses):
+//! - 3 replaced the DRAM device's command log with its fixed-size energy
+//!   meter and the LLC's 64-bit LRU stamps with one-byte recency ranks;
+//! - 4 writes `CtrlStats` in its one field order (the latency histogram
+//!   before the scheduler counters, as in `.run` entries), stores each
+//!   queued or in-flight request's physical address with it, and drops
+//!   the system's table of in-flight reads, which that address replaces.
 //!
 //! # Kill-anywhere guarantee
 //!
@@ -60,12 +66,12 @@ use crate::system::{Snapshot, System};
 /// layout changes — including any `save_state` in the crates below this
 /// one — so stale checkpoints miss cleanly and the cell restarts from
 /// zero instead of misdecoding.
-pub const CKPT_VERSION: u32 = 3;
+pub const CKPT_VERSION: u32 = 4;
 
 /// The `.ckpt` envelope (its magic's version byte rides along, as in the
 /// run cache).
 const CKPT: Envelope = Envelope {
-    magic: *b"CCCKP\0v3",
+    magic: *b"CCCKP\0v4",
     version: CKPT_VERSION,
     ext: "ckpt",
     tmp_ext: "ckpt-tmp",

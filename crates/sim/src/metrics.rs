@@ -1,17 +1,19 @@
-//! Run results and derived metrics (IPC, weighted speedup, RMPKC), plus
-//! the exact binary codec the disk-backed run cache persists them with.
+//! Run results and derived metrics (IPC, weighted speedup, RMPKC). The
+//! disk-backed run cache persists a result through its
+//! [`fasthash::codec::State`] encoding.
 
-use chargecache::{MechanismReport, StatSink};
+use chargecache::MechanismReport;
 use cpu::{CoreStats, LlcStats};
 use drampower::EnergyBreakdown;
-use fasthash::codec::{
-    put_bool, put_f64, put_str, put_u64, put_usize, take_bool, take_f64, take_str, take_u64,
-    take_usize, CodecResult,
-};
+use fasthash::codec::{CodecResult, State};
 use memctrl::{CtrlStats, ReuseReport, RltlReport};
 
 /// Everything measured in one simulation run (post-warmup).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Its [`State`] encoding, wrapped by [`RunResult::encode`] and
+/// [`RunResult::decode`], is the `.run` payload: the fields in
+/// declaration order, each part through its own impl.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunResult {
     /// Per-core statistics.
     pub cores: Vec<CoreStats>,
@@ -63,187 +65,75 @@ impl RunResult {
         self.mech.hcrac_hit_rate()
     }
 
-    /// Serializes the full result to the exact little-endian byte layout
-    /// the disk run cache ([`crate::cache`]) persists, written with the
-    /// [`fasthash::codec`] primitives. Floats are encoded
-    /// as raw IEEE-754 bit patterns, so `decode(encode(r)) == r`
-    /// *bit-identically* — the property the resume-byte-identity golden
-    /// stands on. JSON is deliberately not used here: `u64` counters
-    /// exceed 2^53 on long runs and would lose precision.
+    /// Serializes the full result: the `.run` payload the disk run cache
+    /// ([`crate::cache`]) persists, which is the result's [`State`]
+    /// encoding (see [`fasthash::codec`]). Floats travel as raw IEEE-754
+    /// bit patterns, so `decode(encode(r)) == r` *bit-identically* — the
+    /// property the resume-byte-identity golden stands on. JSON is
+    /// deliberately not used here: `u64` counters exceed 2^53 on long
+    /// runs and would lose precision.
     ///
     /// Layout changes MUST bump [`crate::cache::ENTRY_VERSION`]; old
     /// entries are then quarantined and re-simulated rather than
     /// misdecoded.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(512);
-        put_usize(&mut out, self.cores.len());
-        for c in &self.cores {
-            for v in [c.retired, c.cycles, c.loads, c.stores, c.stall_cycles] {
-                put_u64(&mut out, v);
-            }
-        }
-        put_u64(&mut out, self.cpu_cycles);
-        let s = &self.ctrl;
-        let ctrl = [
-            s.reads,
-            s.writes,
-            s.forwarded_reads,
-            s.row_hits,
-            s.row_misses,
-            s.row_conflicts,
-            s.refreshes,
-            s.read_latency_sum,
-            s.read_latency_count,
-        ];
-        let sched = [s.sched_passes, s.sched_bank_visits, s.index_release_misses];
-        let l = &self.llc;
-        let llc = [
-            l.read_accesses,
-            l.read_hits,
-            l.write_accesses,
-            l.write_hits,
-            l.fills,
-            l.writebacks,
-        ];
-        for v in ctrl
-            .into_iter()
-            .chain(s.read_latency_hist)
-            .chain(sched)
-            .chain(llc)
-        {
-            put_u64(&mut out, v);
-        }
-        let counters: Vec<(&str, u64)> = self.mech.iter().collect();
-        put_usize(&mut out, counters.len());
-        for (name, value) in counters {
-            put_str(&mut out, name);
-            put_u64(&mut out, value);
-        }
-        for vs in [&self.rltl.intervals_ms, &self.rltl.rltl_fraction] {
-            put_usize(&mut out, vs.len());
-            vs.iter().for_each(|&v| put_f64(&mut out, v));
-        }
-        put_f64(&mut out, self.rltl.refresh_8ms_fraction);
-        put_u64(&mut out, self.rltl.activations);
-        for vs in [&self.reuse.bucket_bounds, &self.reuse.counts] {
-            put_usize(&mut out, vs.len());
-            vs.iter().for_each(|&v| put_u64(&mut out, v));
-        }
-        put_u64(&mut out, self.reuse.cold_or_beyond);
-        put_u64(&mut out, self.reuse.activations);
+        self.put(&mut out);
+        out
+    }
+
+    /// Inverse of [`RunResult::encode`]. `None` on any truncation,
+    /// implausible count or trailing byte — the cache treats that as a
+    /// corrupt entry (quarantine + re-simulate), never as a partial
+    /// result.
+    pub fn decode(bytes: &[u8]) -> Option<RunResult> {
+        let mut input = bytes;
+        let r = Self::take(&mut input).ok()?;
+        input.is_empty().then_some(r)
+    }
+}
+
+/// The `.run` payload: the parts in field order, each through its own
+/// impl, with the five energy floats written in place (`drampower` does
+/// not depend on `fasthash`).
+impl State for RunResult {
+    fn put(&self, out: &mut Vec<u8>) {
         let e = &self.energy;
-        for v in [
+        self.cores.put(out);
+        self.cpu_cycles.put(out);
+        self.ctrl.put(out);
+        self.llc.put(out);
+        self.mech.put(out);
+        self.rltl.put(out);
+        self.reuse.put(out);
+        [
             e.background_pj,
             e.activate_pj,
             e.read_pj,
             e.write_pj,
             e.refresh_pj,
-        ] {
-            put_f64(&mut out, v);
-        }
-        put_bool(&mut out, self.hit_cycle_cap);
-        out
+        ]
+        .put(out);
+        self.hit_cycle_cap.put(out);
     }
 
-    /// Inverse of [`RunResult::encode`]. `None` on any truncation,
-    /// implausible length or trailing byte — the cache treats that as a
-    /// corrupt entry (quarantine + re-simulate), never as a partial
-    /// result.
-    pub fn decode(bytes: &[u8]) -> Option<RunResult> {
-        let mut input = bytes;
-        let r = Self::decode_from(&mut input).ok()?;
-        input.is_empty().then_some(r)
-    }
-
-    fn decode_from(input: &mut &[u8]) -> CodecResult<RunResult> {
-        let u64 = |input: &mut &[u8]| take_u64(input, "run result");
-        let f64 = |input: &mut &[u8]| take_f64(input, "run result");
-        // Cap implausible lengths before allocating.
-        let len = |input: &mut &[u8], max: usize| match take_usize(input, "run result length")? {
-            n if n > max => Err(format!("implausible run result length {n}")),
-            n => Ok(n),
+    fn load(&mut self, input: &mut &[u8]) -> CodecResult<()> {
+        self.cores.load(input)?;
+        self.cpu_cycles.load(input)?;
+        self.ctrl.load(input)?;
+        self.llc.load(input)?;
+        self.mech.load(input)?;
+        self.rltl.load(input)?;
+        self.reuse.load(input)?;
+        let [background_pj, activate_pj, read_pj, write_pj, refresh_pj] = <[f64; 5]>::take(input)?;
+        self.energy = EnergyBreakdown {
+            background_pj,
+            activate_pj,
+            read_pj,
+            write_pj,
+            refresh_pj,
         };
-        let n_cores = len(input, 4096)?;
-        let mut cores = Vec::with_capacity(n_cores);
-        for _ in 0..n_cores {
-            cores.push(CoreStats {
-                retired: u64(input)?,
-                cycles: u64(input)?,
-                loads: u64(input)?,
-                stores: u64(input)?,
-                stall_cycles: u64(input)?,
-            });
-        }
-        let cpu_cycles = u64(input)?;
-        let mut ctrl = CtrlStats {
-            reads: u64(input)?,
-            writes: u64(input)?,
-            forwarded_reads: u64(input)?,
-            row_hits: u64(input)?,
-            row_misses: u64(input)?,
-            row_conflicts: u64(input)?,
-            refreshes: u64(input)?,
-            read_latency_sum: u64(input)?,
-            read_latency_count: u64(input)?,
-            ..CtrlStats::default()
-        };
-        for b in ctrl.read_latency_hist.iter_mut() {
-            *b = u64(input)?;
-        }
-        ctrl.sched_passes = u64(input)?;
-        ctrl.sched_bank_visits = u64(input)?;
-        ctrl.index_release_misses = u64(input)?;
-        let llc = LlcStats {
-            read_accesses: u64(input)?,
-            read_hits: u64(input)?,
-            write_accesses: u64(input)?,
-            write_hits: u64(input)?,
-            fills: u64(input)?,
-            writebacks: u64(input)?,
-        };
-        let mut mech = MechanismReport::default();
-        for _ in 0..len(input, 65_536)? {
-            let name = take_str(input, "mechanism counter name")?;
-            // `counter` pushes unseen names even at value 0, so zero-valued
-            // counters survive the round trip (`has()` is preserved).
-            mech.counter(&name, u64(input)?);
-        }
-        let n = len(input, 65_536)?;
-        let intervals_ms = (0..n).map(|_| f64(input)).collect::<CodecResult<_>>()?;
-        let n = len(input, 65_536)?;
-        let rltl = RltlReport {
-            intervals_ms,
-            rltl_fraction: (0..n).map(|_| f64(input)).collect::<CodecResult<_>>()?,
-            refresh_8ms_fraction: f64(input)?,
-            activations: u64(input)?,
-        };
-        let n = len(input, 65_536)?;
-        let bucket_bounds = (0..n).map(|_| u64(input)).collect::<CodecResult<_>>()?;
-        let n = len(input, 65_536)?;
-        let reuse = ReuseReport {
-            bucket_bounds,
-            counts: (0..n).map(|_| u64(input)).collect::<CodecResult<_>>()?,
-            cold_or_beyond: u64(input)?,
-            activations: u64(input)?,
-        };
-        let energy = EnergyBreakdown {
-            background_pj: f64(input)?,
-            activate_pj: f64(input)?,
-            read_pj: f64(input)?,
-            write_pj: f64(input)?,
-            refresh_pj: f64(input)?,
-        };
-        Ok(RunResult {
-            cores,
-            cpu_cycles,
-            ctrl,
-            llc,
-            mech,
-            rltl,
-            reuse,
-            energy,
-            hit_cycle_cap: take_bool(input, "hit_cycle_cap")?,
-        })
+        self.hit_cycle_cap.load(input)
     }
 }
 
@@ -275,6 +165,7 @@ pub fn speedup_over(value: f64, baseline: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chargecache::StatSink;
 
     #[test]
     fn weighted_speedup_identity() {
@@ -382,5 +273,16 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert!(RunResult::decode(&long).is_none(), "trailing byte accepted");
+        // A core or counter count larger than the bytes left could hold
+        // fails before anything is allocated for it. The sample has two
+        // of each; the counters follow the cores, cycles, controller and
+        // LLC counts.
+        let counters_at = 8 + 2 * 40 + 8 + 28 * 8 + 6 * 8;
+        for at in [0, counters_at] {
+            assert_eq!(bytes[at..at + 8], 2u64.to_le_bytes());
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+            assert!(RunResult::decode(&bad).is_none(), "count at {at} accepted");
+        }
     }
 }

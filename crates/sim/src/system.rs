@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use cpu::{AccessReply, Core, Llc, LoadId, MemAccess, MemOp, TraceSource};
 use fasthash::codec::{load_map, load_slice, put_slice, put_sorted_map, CodecResult, State};
 use fasthash::{impl_state, FastHashMap};
-use memctrl::{AccessKind, MemRequest, MemorySystem, RequestId};
+use memctrl::{AccessKind, MemRequest, MemorySystem};
 
 use crate::config::{Engine, InvalidConfig, SystemConfig};
 use crate::metrics::RunResult;
@@ -35,9 +35,8 @@ pub struct System {
     cores: Vec<Core>,
     llc: Llc,
     mem: MemorySystem,
-    /// In-flight memory reads: request id → line address.
-    fills: FastHashMap<RequestId, u64>,
-    /// Loads waiting on an in-flight line: line → (core, load).
+    /// Loads waiting on an in-flight line: line → (core, load). A read's
+    /// completion names its line, so no table of request ids is kept.
     waiters: FastHashMap<u64, Vec<(usize, LoadId)>>,
     /// Emptied waiter lists, reused for the next miss's waiters.
     spare_waiters: Vec<Vec<(usize, LoadId)>>,
@@ -181,7 +180,6 @@ impl System {
             cores,
             llc,
             mem,
-            fills: FastHashMap::default(),
             waiters: FastHashMap::default(),
             spare_waiters: Vec::new(),
             wb_backlog: VecDeque::new(),
@@ -244,7 +242,6 @@ impl System {
             cores,
             llc,
             mem,
-            fills,
             waiters,
             spare_waiters,
             wb_backlog,
@@ -257,7 +254,6 @@ impl System {
                     access,
                     llc,
                     mem,
-                    fills,
                     waiters,
                     spare_waiters,
                     wb_backlog,
@@ -296,23 +292,21 @@ impl System {
         let mut completions = std::mem::take(&mut self.completions);
         self.mem.tick_into(bus_now, &mut completions);
         for c in completions.drain(..) {
-            if let Some(line) = self.fills.remove(&c.id) {
-                if let Some(wb) = self.llc.fill(line) {
-                    self.wb_backlog.push_back((wb, c.core));
-                }
-                if let Some(mut ws) = self.waiters.remove(&line) {
-                    for (core, load) in ws.drain(..) {
-                        self.cores[core].complete_load(load);
-                        // Data for a sleeping core is its wake-up call.
-                        if !self.awake.contains(core) {
-                            let st = &mut self.sleep[core];
-                            self.cores[core].absorb_idle_cycles(now - st.since);
-                            *st = SleepState::AWAKE;
-                            self.awake.insert(core);
-                        }
+            if let Some(wb) = self.llc.fill(c.line) {
+                self.wb_backlog.push_back((wb, c.core));
+            }
+            if let Some(mut ws) = self.waiters.remove(&c.line) {
+                for (core, load) in ws.drain(..) {
+                    self.cores[core].complete_load(load);
+                    // Data for a sleeping core is its wake-up call.
+                    if !self.awake.contains(core) {
+                        let st = &mut self.sleep[core];
+                        self.cores[core].absorb_idle_cycles(now - st.since);
+                        *st = SleepState::AWAKE;
+                        self.awake.insert(core);
                     }
-                    self.spare_waiters.push(ws);
                 }
+                self.spare_waiters.push(ws);
             }
         }
         self.completions = completions;
@@ -354,7 +348,6 @@ impl System {
             cores,
             llc,
             mem,
-            fills,
             waiters,
             spare_waiters,
             wb_backlog,
@@ -377,7 +370,6 @@ impl System {
                         access,
                         llc,
                         mem,
-                        fills,
                         waiters,
                         spare_waiters,
                         wb_backlog,
@@ -525,8 +517,8 @@ impl System {
     }
 
     /// Serializes the complete deterministic state of the system —
-    /// cores (including trace positions), LLC, in-flight fills and
-    /// waiters, writeback backlog, and the full memory system — so an
+    /// cores (including trace positions), LLC, the loads waiting on
+    /// in-flight lines, writeback backlog, and the full memory system — so an
     /// equally-configured fresh system restored from the bytes continues
     /// the run bit-identically. The layout is the system's [`State`]
     /// encoding (see [`fasthash::codec`]).
@@ -550,7 +542,6 @@ impl System {
         self.now.put(out);
         put_slice(out, &self.cores);
         self.llc.put(out);
-        put_sorted_map(out, &self.fills);
         put_sorted_map(out, &self.waiters);
         self.wb_backlog.put(out);
         if !self.mem.save_state(out) {
@@ -630,7 +621,6 @@ impl State for System {
             format!("checkpoint has {n} cores, system has {have}")
         })?;
         self.llc.load(input)?;
-        load_map(input, &mut self.fills)?;
         load_map(input, &mut self.waiters)?;
         let cores = self.cores.len();
         if let Some(&(core, _)) = self.waiters.values().flatten().find(|w| w.0 >= cores) {
@@ -677,7 +667,6 @@ fn service_access(
     access: MemAccess,
     llc: &mut Llc,
     mem: &mut MemorySystem,
-    fills: &mut FastHashMap<RequestId, u64>,
     waiters: &mut FastHashMap<u64, Vec<(usize, LoadId)>>,
     spare_waiters: &mut Vec<Vec<(usize, LoadId)>>,
     wb_backlog: &mut VecDeque<(u64, usize)>,
@@ -701,16 +690,13 @@ fn service_access(
                 kind: AccessKind::Read,
                 core: access.core,
             };
-            match mem.try_enqueue(req, bus_now) {
-                Some(id) => {
-                    fills.insert(id, line);
-                    let mut ws = spare_waiters.pop().unwrap_or_default();
-                    ws.push((access.core, access.load_id));
-                    waiters.insert(line, ws);
-                    AccessReply::Pending
-                }
-                None => AccessReply::Retry,
+            if mem.try_enqueue(req, bus_now).is_none() {
+                return AccessReply::Retry;
             }
+            let mut ws = spare_waiters.pop().unwrap_or_default();
+            ws.push((access.core, access.load_id));
+            waiters.insert(line, ws);
+            AccessReply::Pending
         }
         MemOp::Store(_) => {
             if let cpu::LlcOutcome::Miss {

@@ -569,3 +569,61 @@ fn gc_never_corrupts_a_concurrently_read_entry() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// 64-bit FNV-1a, bit-for-bit `fasthash::checksum_64`, restated because
+/// the root package does not depend on `fasthash`.
+fn checksum_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The `.run` payload of real cells is frozen (`sim::cache::ENTRY_VERSION`
+/// guards it): length and checksum of `RunResult::encode` for `tpch2`
+/// under two mechanisms and the eight-core mix `w1`. Unlike the synthetic
+/// sample in `sim::metrics`, these results carry non-zero scheduler
+/// counters, so the position of `CtrlStats`'s latency histogram relative
+/// to them is pinned too. The parameters are explicit, so `CC_TINY` and
+/// `CC_SCALE` do not reach them.
+#[test]
+fn run_entry_bytes_are_frozen() {
+    let p = ExpParams {
+        insts_per_core: 8_000,
+        warmup_insts: 2_000,
+        max_cycle_factor: 300,
+        seed: 42,
+        checkpoint_interval: 0,
+    };
+    let fingerprint = |cfg: sim::SystemConfig, apps: &[traces::WorkloadSpec]| {
+        let r = sim::exp::run_configured(cfg, apps, &p).unwrap();
+        assert!(r.ctrl.sched_passes > 0 && r.ctrl.sched_bank_visits > 0);
+        let bytes = r.encode();
+        (bytes.len(), checksum_64(&bytes))
+    };
+    let tpch2 = [workload("tpch2").unwrap()];
+    let mix = &traces::eight_core_mixes()[0];
+    assert_eq!(mix.name, "w1");
+    let got = [
+        fingerprint(
+            sim::SystemConfig::paper_single_core(MechanismSpec::baseline()),
+            &tpch2,
+        ),
+        fingerprint(
+            sim::SystemConfig::paper_single_core(MechanismSpec::chargecache()),
+            &tpch2,
+        ),
+        fingerprint(
+            sim::SystemConfig::paper_eight_core(MechanismSpec::chargecache()),
+            &mix.apps,
+        ),
+    ];
+    assert_eq!(
+        got,
+        [
+            (835, 0x3ff4_2b65_262e_2d92),
+            (994, 0xdbaf_8cef_271b_c525),
+            (1274, 0x4b39_47e9_771c_55a1),
+        ],
+        "`.run` bytes changed without an ENTRY_VERSION bump"
+    );
+}

@@ -299,13 +299,15 @@ fn undecodable_or_stale_checkpoints_restart_from_zero_bit_identical() {
     assert_eq!(checkpoint_stats().quarantined - before.quarantined, 1);
     assert!(dir.join(format!("{key:032x}.ckpt.corrupt")).exists());
 
-    // A checkpoint from another format version: clean miss, restart
-    // from zero, no quarantine, same bytes.
+    // A well-formed checkpoint from the previous format version (3: the
+    // magic's version byte and the version field both say so): clean
+    // miss, restart from zero, no quarantine, same bytes.
     fs::remove_file(&run_file).unwrap();
     store.store(key, b"\x07 payload from another version");
     let path = store.path_for(key);
     let mut bytes = fs::read(&path).unwrap();
-    bytes[7] = b'0';
+    bytes[7] = b'3';
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
     let before = checkpoint_stats();
     api::clear_run_cache();
@@ -459,7 +461,7 @@ fn killed_after_every_warmup_checkpoint_store_resumes_byte_identical() {
         if k == 1 {
             assert_eq!(
                 (payload.len(), checksum_64(&payload)),
-                (9_817, 0x81df_891e_db42_f919)
+                (9_769, 0xd08a_939c_ec4d_6e08)
             );
         }
         phases.push(payload[0]);
@@ -650,7 +652,7 @@ fn state_fingerprint(
 /// guards it): the bytes of a mid-run `System::save_state` are pinned
 /// for every built-in mechanism plus the unlimited-capacity HCRAC (the
 /// sorted-map path), every device family (lpddr4x covers per-bank
-/// refresh), an eight-core mix with fills, waiters and a writeback
+/// refresh), an eight-core mix with reads, waiters and a writeback
 /// backlog in flight, and both `measure_energy` settings (the command
 /// log is not state, so they encode alike). A layout change that still
 /// round-trips passes the resume tests above but fails here.
@@ -703,21 +705,21 @@ fn checkpoint_bytes_are_frozen() {
     );
 }
 
-/// `(configuration, length, checksum_64)` captured at `CKPT_VERSION` 3;
+/// `(configuration, length, checksum_64)` captured at `CKPT_VERSION` 4;
 /// see [`checkpoint_bytes_are_frozen`].
 const GOLDEN_STATE: &[(&str, usize, u64)] = &[
-    ("baseline", 4706, 0xbc63c16f5e08f85d),
-    ("chargecache", 8027, 0x926252b75f808faa),
-    ("nuat", 4722, 0xdc0bd33cb93ccfe1),
-    ("cc-nuat", 8051, 0xadc17b3d36355ea5),
-    ("lldram", 4706, 0x5c4bc70199d42295),
-    ("chargecache(unlimited=true)", 5403, 0x85df105b27c73c5d),
-    ("ddr3", 8027, 0x926252b75f808faa),
-    ("ddr4", 8608, 0x402bd4b02aae820d),
-    ("lpddr4x", 13095, 0x686bf33488002fee),
-    ("hbm2", 88908, 0x9bb9aa55a997fcdf),
-    ("no command log", 8027, 0x926252b75f808faa),
-    ("w1", 93879, 0x480e6a97f4927fc6),
+    ("baseline", 4674, 0x331a0a1718673d11),
+    ("chargecache", 7995, 0x4e9d89b28b527476),
+    ("nuat", 4690, 0x2ee38829f5eedb9d),
+    ("cc-nuat", 8019, 0x94dbd9996eddb7b5),
+    ("lldram", 4674, 0xfe3d3ea131fb2209),
+    ("chargecache(unlimited=true)", 5371, 0xd925ccb18d4df0a9),
+    ("ddr3", 7995, 0x4e9d89b28b527476),
+    ("ddr4", 8576, 0x64f69fce51e6dde7),
+    ("lpddr4x", 13063, 0x690a12da59934734),
+    ("hbm2", 88876, 0x4f02bdf222c98b69),
+    ("no command log", 7995, 0x4e9d89b28b527476),
+    ("w1", 93607, 0xac0ace2709e952e9),
 ];
 
 /// The phase-1 payload `cc-sim` persists (run-driver position, warmup
@@ -748,7 +750,7 @@ fn measured_phase_checkpoint_payload_is_frozen() {
     );
     assert_eq!(
         (payload.len(), checksum_64(&payload)),
-        (12_391, 0x96bf_f27c_5c71_7b42)
+        (12_335, 0x9706_9074_3ccd_9961)
     );
     let _ = fs::remove_dir_all(&dir);
 }
